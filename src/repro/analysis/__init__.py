@@ -20,11 +20,9 @@ in microseconds.  This package is that pre-simulation pruning layer:
   covered by a dependence path, and every edge must be justified;
 * :mod:`~repro.analysis.bounds` — sound static lower bounds on the
   simulated makespan (critical path, processor load, communication
-  volume), powering bound-based search pruning and the AM4xx
+  volume, per-channel congestion over the executor's own routes),
+  powering bound-based search pruning and the AM4xx/AM501
   diagnostics;
-* :mod:`~repro.analysis.routing` — the executor's channel-path routes
-  exposed to the analyzer, powering the per-channel congestion bound
-  and the AM501/AM503 diagnostics;
 * :mod:`~repro.analysis.symmetry` — verified machine-kind automorphisms
   (interchangeable processor/memory kinds), folded by the
   canonicalizer and reported as AM502;
@@ -33,7 +31,8 @@ in microseconds.  This package is that pre-simulation pruning layer:
   let the mapping service serve provably-equivalent submissions from
   cache with zero simulations (AM6xx);
 * :mod:`~repro.analysis.engine` — the ``repro analyze`` entry point
-  combining the passes into one :class:`DiagnosticReport`.
+  combining the passes into one :class:`DiagnosticReport` (plus the
+  AM503 unroutable-memory-pair check).
 
 Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic` with
 a stable ``AMxxx`` rule id, a severity, and a span naming the offending
@@ -71,8 +70,6 @@ __all__ = [
     "analyze",
     "StaticBoundAnalyzer",
     "BoundBreakdown",
-    "RoutingModel",
-    "routing_model",
     "MachineSymmetry",
     "KindRelabeling",
     "Workload",
@@ -92,8 +89,6 @@ _LAZY = {
     "analyze": ("repro.analysis.engine", "analyze"),
     "StaticBoundAnalyzer": ("repro.analysis.bounds", "StaticBoundAnalyzer"),
     "BoundBreakdown": ("repro.analysis.bounds", "BoundBreakdown"),
-    "RoutingModel": ("repro.analysis.routing", "RoutingModel"),
-    "routing_model": ("repro.analysis.routing", "routing_model"),
     "MachineSymmetry": ("repro.analysis.symmetry", "MachineSymmetry"),
     "KindRelabeling": ("repro.analysis.symmetry", "KindRelabeling"),
     "Workload": ("repro.analysis.equivalence", "Workload"),

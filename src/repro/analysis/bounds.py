@@ -15,13 +15,13 @@ makespan from four independently-sound components,
 * **communication** — the mandatory transfers of a write-authority
   dataflow mirror of the coherence layer, priced two ways and combined
   with ``max``: *routed* per-channel congestion (each transfer is routed
-  over the executor's own channel path via
-  :mod:`repro.analysis.routing`, and every channel's bytes are divided
-  by its DMA bandwidth — the executor serialises traffic per channel,
-  so the busiest channel's busy time bounds the makespan) and the older
-  *incident* aggregate (each memory's total traffic divided by the sum
-  of its incident channel bandwidths — which also covers transfers the
-  routing model cannot route);
+  over the executor's own channel path,
+  :meth:`repro.machine.model.Machine.route`, and every channel's bytes
+  are divided by its DMA bandwidth — the executor serialises traffic
+  per channel, so the busiest channel's busy time bounds the makespan)
+  and the older *incident* aggregate (each memory's total traffic
+  divided by the sum of its incident channel bandwidths — which also
+  covers transfers no channel path connects);
 * **routed schedule** — a conservative replay of the executor's own
   list schedule: launches are walked in the executor's topological
   order, every point task is reserved on its exact processor timeline
@@ -73,10 +73,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
-from repro.analysis.routing import routing_model
 from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
 from repro.machine.model import Machine
-from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import DMA_EFFICIENCY
@@ -396,11 +394,6 @@ class StaticBoundAnalyzer:
             if total > 0:
                 self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
 
-        #: The executor's channel-path routes (shared per machine).
-        self._routing = routing_model(machine)
-        #: The executor's own hop-level topology, for the schedule
-        #: replay's exact copy arithmetic.
-        self._topology = Topology(machine)
         # Routed-vs-incident tightening observed across fresh full
         # breakdowns (ratio >= 1; the report uses the deterministic
         # :meth:`gap_ratio` of one mapping instead of this running mean).
@@ -804,15 +797,15 @@ class StaticBoundAnalyzer:
         """Mirror one ``CopyEngine.execute``: route the piece over the
         executor's hop path, reserving each hop on the mirrored channel
         timelines.  Returns the copy's lower-bound finish time."""
-        path = self._topology.copy_path(src, dst)
+        route = self.machine.route(src, dst)
         time = max(ready, src_time)
-        if path is None or not path.hops:
+        if not route:
             return time
-        for hop in path.hops:
+        for hop in route:
             duration = hop.latency + nbytes / (
                 hop.bandwidth * DMA_EFFICIENCY
             )
-            key = _channel_key(hop.mem_a, hop.mem_b)
+            key = hop.key
             free = chan_free.get(key, 0.0)
             if free > time:
                 time = free
@@ -973,27 +966,28 @@ class StaticBoundAnalyzer:
         # time is a makespan lower bound.  Unroutable pairs are skipped
         # (a sound under-count; AM503 reports them statically).
         chan_bytes: Dict[str, int] = {}
+        bandwidth: Dict[str, float] = {}
         total_routed = 0
         for pair in sorted(pair_bytes):
-            route = self._routing.route(*pair)
+            route = self.machine.route(*pair)
             if not route:
                 continue
             nbytes = pair_bytes[pair]
             total_routed += nbytes
             for chan in route:
-                chan_bytes[chan] = chan_bytes.get(chan, 0) + nbytes
+                chan_bytes[chan.key] = chan_bytes.get(chan.key, 0) + nbytes
+                bandwidth[chan.key] = chan.bandwidth
         routed = 0.0
         worst_channel: Optional[str] = None
-        for chan in sorted(chan_bytes):
-            bandwidth = self._routing.channel_bandwidth(chan)
-            if not bandwidth:  # pragma: no cover - defensive
-                continue
+        for key in sorted(chan_bytes):
             value = (
-                chan_bytes[chan] / (DMA_EFFICIENCY * bandwidth) * FLOAT_SAFETY
+                chan_bytes[key]
+                / (DMA_EFFICIENCY * bandwidth[key])
+                * FLOAT_SAFETY
             )
             if value > routed:
                 routed = value
-                worst_channel = chan
+                worst_channel = key
         share = (
             chan_bytes[worst_channel] / total_routed
             if worst_channel is not None and total_routed > 0
@@ -1250,13 +1244,6 @@ def bound_guided_mapping(space, analyzer: StaticBoundAnalyzer) -> Mapping:
     except MappingError:  # pragma: no cover - defensive fallback
         return space.default_mapping()
     return mapping
-
-
-def _channel_key(mem_a: str, mem_b: str) -> str:
-    """The executor's channel timeline key (``CopyEngine._channel_key``
-    mirror), so mirrored reservations serialise exactly where it does."""
-    a, b = sorted((mem_a, mem_b))
-    return f"chan:{a}<->{b}"
 
 
 def _coalesce(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

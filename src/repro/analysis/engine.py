@@ -11,10 +11,10 @@ space (see :class:`repro.core.driver.AutoMapDriver`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.analysis.canonical import Canonicalizer
-from repro.analysis.diagnostics import DiagnosticReport
+from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Span
 from repro.analysis.memfeas import StaticMemoryFeasibility
 from repro.analysis.sanitizer import sanitize_graph
 from repro.analysis.validity import check_mapping
@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapping.space import SearchSpace
     from repro.taskgraph.graph import TaskGraph
 
-__all__ = ["analyze"]
+__all__ = ["analyze", "diagnose_routes"]
 
 
 def analyze(
@@ -100,17 +100,16 @@ def _diagnose_bounds(
     "don't search at all" baseline; the bound is priced on the mapping
     the simulator would actually execute (spill demotions applied).
     The machine-level AM5xx findings ride along: unreachable memory
-    pairs (AM503) from the routing model and interchangeable-kind folds
+    pairs (AM503) from the machine's routes and interchangeable-kind folds
     (AM502) from the canonicalizer's verified symmetry group.
     The runtime import stays local: the analysis package must be
     importable from below the runtime layer.
     """
     from repro.analysis.bounds import StaticBoundAnalyzer
-    from repro.analysis.routing import routing_model
     from repro.runtime.simulator import SimConfig, Simulator
 
     report = DiagnosticReport()
-    report.extend(routing_model(machine).diagnose())
+    report.extend(diagnose_routes(machine))
     report.extend(canonicalizer.diagnose_symmetry())
     if not graph.launches:
         # Degenerate graph: nothing to simulate and no mapping to
@@ -130,3 +129,22 @@ def _diagnose_bounds(
         )
     )
     return report
+
+
+def diagnose_routes(machine: "Machine") -> List[Diagnostic]:
+    """``AM503`` for every unordered memory pair with no channel path."""
+    mems = [m.uid for m in machine.memories]
+    return [
+        Diagnostic(
+            rule_id="AM503",
+            message=(
+                f"no channel path between {src} and {dst}: any "
+                f"mapping that needs a copy between them fails at "
+                f"simulation time"
+            ),
+            span=Span(memory=src),
+        )
+        for i, src in enumerate(mems)
+        for dst in mems[i + 1:]
+        if machine.route(src, dst) is None
+    ]

@@ -32,12 +32,13 @@ it means the service must run the tune.  The lemmas:
    (including every spill-demotion target in ``mem_kinds_for``), and the
    channels on routed paths between touchable memories.  Parameters of
    resources *outside* that set are unobservable — with one deliberate
-   subtlety: channel parameters feed networkx's weighted route choice,
-   so the prover never reasons "unused channel, therefore immaterial"
-   from parameters alone.  Instead it compares the two machines' *route
-   tables* hop-for-hop over all touchable memory pairs; an unused
-   channel whose parameter change flipped a route shows up there and
-   blocks the proof.
+   subtlety: channel parameters feed the weighted route choice of
+   :meth:`repro.machine.model.Machine.route`, so the prover never
+   reasons "unused channel, therefore immaterial" from parameters
+   alone.  Instead it compares the two machines' *route tables*
+   hop-for-hop over all touchable memory pairs; an unused channel
+   whose parameter change flipped a route shows up there and blocks
+   the proof.
 
 3. **Relabeling** (AM603).  Names are pure metadata: the simulator
    keys noise off the mapping key (task-kind names only) and nothing
@@ -75,7 +76,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Span
 from repro.analysis.memfeas import StaticMemoryFeasibility
-from repro.analysis.routing import channel_key, routing_model
 from repro.analysis.symmetry import MachineSymmetry
 from repro.machine.kinds import ProcKind
 from repro.util.serialization import to_jsonable
@@ -196,7 +196,7 @@ def touchable_resources(
     fixed decisions.  Memories include every ``closest_memory`` target
     over all addressable memory kinds of each touchable processor, so
     spill-planner demotions stay inside the set.  Channels are the hops
-    of the topology's chosen routes between touchable memory pairs.
+    of the machine's chosen routes between touchable memory pairs.
     """
     if space is None:
         from repro.mapping.space import SearchSpace
@@ -217,16 +217,15 @@ def touchable_resources(
             mem = machine.closest_memory(proc, mk)
             if mem is not None:
                 mems.add(mem.uid)
-    model = routing_model(machine)
     chans = set()
     ordered = sorted(mems)
     for src in ordered:
         for dst in ordered:
             if src == dst:
                 continue
-            route = model.route(src, dst)
+            route = machine.route(src, dst)
             if route:
-                chans.update(route)
+                chans.update(chan.key for chan in route)
     return TouchableResources(
         proc_kinds=frozenset(kinds),
         proc_uids=frozenset(p.uid for p in procs),
@@ -283,7 +282,7 @@ def diagnose_equivalence(
                 )
             )
     for chan in machine.channels:
-        if channel_key(chan.mem_a, chan.mem_b) not in touch.channel_keys:
+        if chan.key not in touch.channel_keys:
             out.append(
                 Diagnostic(
                     "AM602",
@@ -549,8 +548,8 @@ def prove_equivalent(w1: Workload, w2: Workload) -> EquivalenceProof:
     # Obligation 8: channels — same edge set; parameters equal for
     # channels on touchable routes (untouchable ones may differ only if
     # obligation 9's route tables still agree).
-    chans1 = {channel_key(c.mem_a, c.mem_b): c for c in m1.channels}
-    chans2 = {channel_key(c.mem_a, c.mem_b): c for c in m2.channels}
+    chans1 = {c.key: c for c in m1.channels}
+    chans2 = {c.key: c for c in m2.channels}
     if set(chans1) != set(chans2):
         return blocked("channel sets differ")
     slack_chans: List[str] = []
@@ -573,31 +572,23 @@ def prove_equivalent(w1: Workload, w2: Workload) -> EquivalenceProof:
         log.append("channels: parameters equal")
 
     # Obligation 9: route tables agree hop-for-hop over every touchable
-    # memory pair.  Channel parameters weight networkx's path choice, so
-    # even an unused channel's slack must not have flipped a route.
-    topo1 = routing_model(m1).topology
-    topo2 = routing_model(m2).topology
+    # memory pair.  Channel parameters weight the route choice, so even
+    # an unused channel's slack must not have flipped a route.
     ordered = sorted(touch.mem_uids)
     for src in ordered:
         for dst in ordered:
             if src == dst:
                 continue
-            p1 = topo1.copy_path(src, dst)
-            p2 = topo2.copy_path(src, dst)
-            if (p1 is None) != (p2 is None):
+            r1 = m1.route(src, dst)
+            r2 = m2.route(src, dst)
+            if (r1 is None) != (r2 is None):
                 return blocked(
                     f"route {src}->{dst} exists on only one machine"
                 )
-            if p1 is None:
+            if r1 is None:
                 continue
-            h1 = [
-                (tuple(sorted((h.mem_a, h.mem_b))), h.bandwidth, h.latency)
-                for h in p1.hops
-            ]
-            h2 = [
-                (tuple(sorted((h.mem_a, h.mem_b))), h.bandwidth, h.latency)
-                for h in p2.hops
-            ]
+            h1 = [(h.key, h.bandwidth, h.latency) for h in r1]
+            h2 = [(h.key, h.bandwidth, h.latency) for h in r2]
             if h1 != h2:
                 return blocked(f"route {src}->{dst} differs between machines")
     log.append(

@@ -31,11 +31,13 @@ the simulator consults is preserved exactly:
    absorbs socket/device locality without constraining the raw fields).
 7. **Channels** — every channel's image exists with equal bandwidth and
    latency.
-8. **Routes** — the topology's chosen ``copy_path`` between every
-   memory pair maps hop-by-hop onto the path between the image pair.
-   Bandwidth/latency equality (7) does not pin down *which* shortest
-   path networkx picks, and the executor reserves the channels of the
-   chosen path, so route equality is checked explicitly.
+8. **Routes** — the machine's chosen ``route`` between every memory
+   pair maps hop-by-hop onto the route between the image pair.
+   Bandwidth/latency equality (7) does not pin down *which* of several
+   equal-cost paths the route tie-break picks (it follows declaration
+   order, which a relabeling need not preserve), and the executor
+   reserves the channels of the chosen route, so route equality is
+   checked explicitly.
 
 Under these checks, relabeling a mapping permutes which concrete
 resources carry which timeline reservations but leaves every float
@@ -54,7 +56,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.routing import routing_model
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import Machine
 from repro.mapping.decision import MappingDecision
@@ -202,31 +203,26 @@ class MachineSymmetry:
                 or image.latency != chan.latency
             ):
                 return False
-        # 8. The topology's chosen routes commute with the pairing.
-        topology = routing_model(machine).topology
+        # 8. The chosen routes commute with the pairing (each hop's image
+        #    channel has equal parameters by 7).
         mems = [m.uid for m in machine.memories]
         for src in mems:
             for dst in mems:
                 if src == dst:
                     continue
-                path = topology.copy_path(src, dst)
-                image = topology.copy_path(mem_pair[src], mem_pair[dst])
-                if path is None or image is None:
-                    if (path is None) != (image is None):
+                route = machine.route(src, dst)
+                image = machine.route(mem_pair[src], mem_pair[dst])
+                if route is None or image is None:
+                    if (route is None) != (image is None):
                         return False
                     continue
-                if len(path.hops) != len(image.hops):
+                if len(route) != len(image):
                     return False
-                for hop, hop_image in zip(path.hops, image.hops):
-                    mapped = sorted(
-                        (mem_pair[hop.mem_a], mem_pair[hop.mem_b])
+                for hop, hop_image in zip(route, image):
+                    mapped = machine.channel(
+                        mem_pair[hop.mem_a], mem_pair[hop.mem_b]
                     )
-                    actual = sorted((hop_image.mem_a, hop_image.mem_b))
-                    if (
-                        mapped != actual
-                        or hop.bandwidth != hop_image.bandwidth
-                        or hop.latency != hop_image.latency
-                    ):
+                    if mapped is not hop_image:
                         return False
         return True
 

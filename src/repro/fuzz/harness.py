@@ -378,7 +378,6 @@ def _check_equivalence(case: FuzzCase) -> List[Violation]:
         prove_equivalent,
         touchable_resources,
     )
-    from repro.analysis.routing import channel_key
     from repro.machine.overrides import apply_machine_params
     from repro.util.units import GIB
 
@@ -412,7 +411,7 @@ def _check_equivalence(case: FuzzCase) -> List[Violation]:
         )
     touch = touchable_resources(graph, machine, space)
     for chan in machine.channels:
-        if channel_key(chan.mem_a, chan.mem_b) not in touch.channel_keys:
+        if chan.key not in touch.channel_keys:
             perturbations.append(
                 (
                     "off-route-channel-bw*3",

@@ -10,11 +10,10 @@ The public surface:
 
 - :class:`~repro.machine.kinds.ProcKind`, :class:`~repro.machine.kinds.MemKind`
   — the kind enums the factored search space ranges over;
-- :class:`~repro.machine.model.Machine` — the machine graph;
+- :class:`~repro.machine.model.Machine` — the machine graph, including
+  the memoised channel route of every copy (``Machine.route``);
 - :mod:`~repro.machine.builders` — ready-made models of the paper's two
-  clusters (``shepard``, ``lassen``) plus generic builders;
-- :class:`~repro.machine.topology.Topology` — memoised reachability and
-  copy-path queries used by the runtime simulator.
+  clusters (``shepard``, ``lassen``) plus generic builders.
 """
 
 from repro.machine.kinds import ProcKind, MemKind
@@ -37,7 +36,6 @@ from repro.machine.builders import (
     shepard,
     single_node,
 )
-from repro.machine.topology import Topology
 
 __all__ = [
     "ProcKind",
@@ -57,5 +55,4 @@ __all__ = [
     "heterogeneous_cluster",
     "single_node",
     "MACHINE_ZOO",
-    "Topology",
 ]

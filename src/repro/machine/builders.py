@@ -315,7 +315,7 @@ def heterogeneous_cluster(name: str, specs: Sequence[NodeSpec]) -> Machine:
 
     # Inter-node network channels (all-to-all, between zero-copy pools and
     # between socket-0 system memories; copies between other memories are
-    # routed through these by the topology layer).
+    # routed through these by Machine.route).
     for a in range(len(specs)):
         for b in range(a + 1, len(specs)):
             bandwidth = min(

@@ -14,12 +14,21 @@ for memories, and bandwidth/latency for access links and channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.machine.kinds import ADDRESSABLE, MemKind, ProcKind
 from repro.util.units import format_bytes
 
 __all__ = ["Processor", "Memory", "AccessLink", "Channel", "Machine"]
+
+#: Representative message size weighting channels for routing: a
+#: channel costs ``latency + ROUTING_MESSAGE_BYTES / bandwidth``, which
+#: balances latency- and bandwidth-dominated regimes so routes prefer
+#: the fast direct links the hardware actually uses.
+ROUTING_MESSAGE_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,14 @@ class Channel:
     def endpoints(self) -> Tuple[str, str]:
         return (self.mem_a, self.mem_b)
 
+    @cached_property
+    def key(self) -> str:
+        """The channel's serial timeline key, ``chan:{a}<->{b}`` with
+        sorted endpoints: the copy engine reserves every hop on this
+        timeline, and the static bounds attribute bytes to it."""
+        a, b = sorted((self.mem_a, self.mem_b))
+        return f"chan:{a}<->{b}"
+
 
 @dataclass
 class Machine:
@@ -152,9 +169,8 @@ class Machine:
     the kind-level addressability relation.
 
     The class offers the kind- and locality-queries that both the search
-    (kind level) and the runtime simulator (concrete level) need; heavier
-    memoised queries (copy paths) live in
-    :class:`repro.machine.topology.Topology`.
+    (kind level) and the runtime simulator (concrete level) need, plus
+    the memoised channel route of every copy (:meth:`route`).
     """
 
     name: str
@@ -191,6 +207,11 @@ class Machine:
             self._access[(link.proc, link.mem)] = link
 
         self._channels: Dict[Tuple[str, str], Channel] = {}
+        #: mem uid -> ``(neighbour, routing weight, channel)`` in channel
+        #: declaration order; the tie-break order of :meth:`route`.
+        self._adjacency: Dict[str, List[Tuple[str, float, Channel]]] = {
+            uid: [] for uid in self._mems_by_uid
+        }
         for chan in self.channels:
             for end in chan.endpoints():
                 if end not in self._mems_by_uid:
@@ -199,6 +220,10 @@ class Machine:
             if key in self._channels:
                 raise ValueError(f"duplicate channel {key}")
             self._channels[key] = chan
+            weight = chan.latency + ROUTING_MESSAGE_BYTES / chan.bandwidth
+            self._adjacency[chan.mem_a].append((chan.mem_b, weight, chan))
+            self._adjacency[chan.mem_b].append((chan.mem_a, weight, chan))
+        self._routes: Dict[Tuple[str, str], Optional[Tuple[Channel, ...]]] = {}
 
         self._nodes = sorted(
             {p.node for p in self.processors} | {m.node for m in self.memories}
@@ -308,6 +333,73 @@ class Machine:
     def channel(self, mem_a: str, mem_b: str) -> Optional[Channel]:
         """The channel between two memories, if one exists."""
         return self._channels.get(tuple(sorted((mem_a, mem_b))))
+
+    def route(self, src: str, dst: str) -> Optional[Tuple[Channel, ...]]:
+        """The channels a copy from ``src`` to ``dst`` crosses, source
+        side first: ``()`` when ``src == dst``, ``None`` when no channel
+        path exists.  Memoised per ordered pair; raises ``KeyError`` for
+        an unknown memory."""
+        pair = (src, dst)
+        if pair not in self._routes:
+            self._routes[pair] = self._shortest_route(src, dst)
+        return self._routes[pair]
+
+    def _shortest_route(
+        self, src: str, dst: str
+    ) -> Optional[Tuple[Channel, ...]]:
+        """Bidirectional Dijkstra over the routing weights.
+
+        The tie-break rule is part of the contract (DESIGN.md): the
+        search alternates directions starting forward, pops the heap
+        entry with the least ``(distance, insertion count)`` (one
+        counter shared by both directions), relaxes a memory only on a
+        strictly shorter distance, and moves the meeting memory only on
+        a strictly smaller total.
+        """
+        if src == dst:
+            return ()
+        adjacency = self._adjacency
+        tick = count()
+        fringe = ([(0.0, next(tick), src)], [(0.0, next(tick), dst)])
+        seen: Tuple[Dict[str, float], ...] = ({src: 0.0}, {dst: 0.0})
+        done: Tuple[set, ...] = (set(), set())
+        # memory -> (the memory one hop closer to the search's origin,
+        # the channel between them).
+        pred: Tuple[Dict[str, Tuple[str, Channel]], ...] = ({}, {})
+        best: Optional[float] = None
+        meet = src
+        side = 1
+        while fringe[0] and fringe[1]:
+            side = 1 - side
+            dist, _, mem = heappop(fringe[side])
+            if mem in done[side]:
+                continue
+            done[side].add(mem)
+            if mem in done[1 - side]:
+                hops: List[Channel] = []
+                node = meet
+                while node in pred[0]:
+                    node, chan = pred[0][node]
+                    hops.append(chan)
+                hops.reverse()
+                node = meet
+                while node in pred[1]:
+                    node, chan = pred[1][node]
+                    hops.append(chan)
+                return tuple(hops)
+            for nbr, weight, chan in adjacency[mem]:
+                total = dist + weight
+                known = seen[side].get(nbr)
+                if nbr in done[side] or (known is not None and total >= known):
+                    continue
+                seen[side][nbr] = total
+                heappush(fringe[side], (total, next(tick), nbr))
+                pred[side][nbr] = (mem, chan)
+                if nbr in seen[1 - side]:
+                    joined = total + seen[1 - side][nbr]
+                    if best is None or joined < best:
+                        best, meet = joined, nbr
+        return None
 
     def channels_of(self, mem_uid: str) -> List[Channel]:
         """All channels incident to a memory."""

@@ -2,10 +2,10 @@
 
 Turns the coherence layer's :class:`~repro.runtime.instances.CopyNeed`
 records into timed transfers: each copy is routed over the machine's
-channel path (``Topology``) and reserved hop-by-hop (store-and-forward),
-so concurrent copies contend for shared links — the Frame-Buffer↔host
-PCIe link and the inter-node network are exactly where the paper's
-mapping trade-offs live.
+channel path (:meth:`~repro.machine.model.Machine.route`) and reserved
+hop-by-hop (store-and-forward), so concurrent copies contend for shared
+links — the Frame-Buffer↔host PCIe link and the inter-node network are
+exactly where the paper's mapping trade-offs live.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.machine.topology import Topology
+from repro.machine.model import Machine
 from repro.runtime.events import TimelinePool
 from repro.runtime.instances import CopyNeed
 
@@ -57,23 +57,18 @@ class CopyEngine:
 
     def __init__(
         self,
-        topology: Topology,
+        machine: Machine,
         channels: TimelinePool,
         recorder: Optional["TraceRecorder"] = None,
         stats: Optional[CopyStats] = None,
     ) -> None:
-        self._topology = topology
+        self._machine = machine
         self._channels = channels
         # ``stats`` lets the incremental engine resume accumulation from
         # a snapshot instead of starting a fresh tally.
         self.stats = stats if stats is not None else CopyStats()
         #: Optional span recorder (observational only; ``None`` = off).
         self.recorder = recorder
-
-    @staticmethod
-    def _channel_key(mem_a: str, mem_b: str) -> str:
-        a, b = sorted((mem_a, mem_b))
-        return f"chan:{a}<->{b}"
 
     def execute(self, need: CopyNeed, dst_mem: str, ready: float) -> float:
         """Perform one copy; returns its finish time.
@@ -83,21 +78,21 @@ class CopyEngine:
         the routed path is a serially-reusable resource; hops are chained
         store-and-forward.
         """
-        path = self._topology.copy_path(need.src_mem, dst_mem)
-        if path is None:
+        route = self._machine.route(need.src_mem, dst_mem)
+        if route is None:
             raise ValueError(
                 f"no channel path from {need.src_mem} to {dst_mem}"
             )
         start_floor = max(ready, need.src_time)
-        if not path.hops:
+        if not route:
             return start_floor
         time = start_floor
         total_duration = 0.0
-        for hop in path.hops:
+        for hop in route:
             duration = hop.latency + need.nbytes / (
                 hop.bandwidth * DMA_EFFICIENCY
             )
-            key = self._channel_key(hop.mem_a, hop.mem_b)
+            key = hop.key
             hop_start, time = self._channels.reserve(key, time, duration)
             if self.recorder is not None:
                 self.recorder.record_copy(

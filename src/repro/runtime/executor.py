@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.machine.kinds import ProcKind
 from repro.machine.model import Machine
-from repro.machine.topology import Topology
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import CopyEngine, CopyStats
 from repro.runtime.events import TimelinePool
@@ -75,7 +74,6 @@ class Executor:
         self.graph = graph
         self.machine = machine
         self.placer = Placer(machine)
-        self.topology = Topology(machine)
         self._order = graph.topological_order()
 
     # ------------------------------------------------------------------
@@ -94,7 +92,7 @@ class Executor:
         """
         procs = TimelinePool()
         channels = TimelinePool()
-        copy_engine = CopyEngine(self.topology, channels, recorder=recorder)
+        copy_engine = CopyEngine(self.machine, channels, recorder=recorder)
         coherence = CoherenceState()
         finish: Dict[str, float] = {}
         kind_busy: Dict[str, float] = {}

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.machine.kinds import ProcKind
 from repro.machine.model import Machine
-from repro.machine.topology import Topology
 from repro.mapping.decision import MappingDecision
 from repro.mapping.mapping import Mapping
 from repro.runtime.copies import CopyEngine, CopyStats
@@ -327,7 +326,6 @@ class IncrementalEngine:
     ) -> None:
         self.graph = graph
         self.machine = machine
-        self.topology = Topology(machine)
         self.stats = stats if stats is not None else IncrementalStats()
         self.costs = LaunchCostCache(machine, stats=self.stats)
         self._order = graph.topological_order()
@@ -400,7 +398,7 @@ class IncrementalEngine:
         }
 
         copy_engine = CopyEngine(
-            self.topology, state.channels, stats=state.copy_stats
+            self.machine, state.channels, stats=state.copy_stats
         )
         graph = self.graph
         coherence = state.coherence

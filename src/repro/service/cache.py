@@ -157,13 +157,15 @@ class ResultCache:
         return entry
 
     def read(self, fingerprint: str, name: str) -> Optional[bytes]:
-        """Exact stored bytes of one artifact, or ``None``."""
+        """Exact stored bytes of one artifact, or ``None`` (also when a
+        concurrent eviction removes the entry mid-read)."""
         entry = self.entry_dir(fingerprint)
-        path = entry / name
-        if not path.exists():
+        try:
+            data = (entry / name).read_bytes()
+        except FileNotFoundError:
             return None
         self._touch(entry)
-        return path.read_bytes()
+        return data
 
     # ------------------------------------------------------------------
     # Near-equivalence class index
@@ -190,17 +192,13 @@ class ResultCache:
             pass
 
     def candidates(self, class_key: str) -> List[str]:
-        """Fingerprints of live entries in one equivalence class,
-        oldest-published first (stable prover walk order)."""
-        marker_dir = self.classes_dir / class_key
-        if not marker_dir.is_dir():
-            return []
-        out = [
-            marker.name
-            for marker in sorted(marker_dir.iterdir())
-            if self.contains(marker.name)
-        ]
-        return out
+        """Fingerprints of live entries in one equivalence class, in
+        fingerprint order (stable prover walk order)."""
+        try:
+            markers = sorted((self.classes_dir / class_key).iterdir())
+        except FileNotFoundError:  # no such class, or its last entry
+            return []  # was evicted concurrently
+        return [m.name for m in markers if self.contains(m.name)]
 
     def entry_class(self, fingerprint: str) -> Optional[str]:
         """The class key an entry was published under, if any."""
@@ -224,7 +222,7 @@ class ResultCache:
     def lookup_equivalent(self, class_key: str, workload, fingerprint):
         """The first cached entry provably equivalent to ``workload``.
 
-        Walks the class's candidates oldest-first, rebuilds each
+        Walks the class's candidates in fingerprint order, rebuilds each
         candidate's workload from its stored ``spec.json``, and runs the
         full AM6xx prover (:func:`repro.analysis.equivalence
         .prove_equivalent`) against the submitted one.  Returns
@@ -284,13 +282,16 @@ class ResultCache:
         out = []
         for fp in self.fingerprints():
             entry = self.entry_dir(fp)
-            artifacts = sorted(
-                p.name
-                for p in entry.iterdir()
-                if p.is_file()
-                and not p.name.startswith(".")
-                and p.name != _CLASS
-            )
+            try:
+                artifacts = sorted(
+                    p.name
+                    for p in entry.iterdir()
+                    if p.is_file()
+                    and not p.name.startswith(".")
+                    and p.name != _CLASS
+                )
+            except FileNotFoundError:  # evicted since fingerprints()
+                continue
             out.append(
                 {
                     "fingerprint": fp,

@@ -162,7 +162,6 @@ def workload_class_key(
         graph_body_doc,
         touchable_resources,
     )
-    from repro.analysis.routing import channel_key
 
     if space is None:
         from repro.mapping.space import SearchSpace
@@ -186,12 +185,10 @@ def workload_class_key(
         if proc_kind[link["proc"]] not in touch.proc_kinds:
             link["bandwidth"] = None
             link["latency"] = None
-    for chan in machine_doc["channels"]:
-        if channel_key(chan["mem_a"], chan["mem_b"]) not in (
-            touch.channel_keys
-        ):
-            chan["bandwidth"] = None
-            chan["latency"] = None
+    for chan, chan_doc in zip(machine.channels, machine_doc["channels"]):
+        if chan.key not in touch.channel_keys:
+            chan_doc["bandwidth"] = None
+            chan_doc["latency"] = None
 
     graph_doc = graph_body_doc(graph)
     doc = {

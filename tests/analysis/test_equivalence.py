@@ -174,15 +174,9 @@ class TestProver:
         assert "n0.sys0" in proof.witness
 
     def test_touchable_channel_change_rejected(self):
-        from repro.analysis.routing import channel_key
-
         g1, m1, s1 = _workload()
         touch = touchable_resources(g1, m1, s1)
-        chan = next(
-            c
-            for c in m1.channels
-            if channel_key(c.mem_a, c.mem_b) in touch.channel_keys
-        )
+        chan = next(c for c in m1.channels if c.key in touch.channel_keys)
         g2, m2, s2 = _workload(
             channel_bandwidth={
                 f"{chan.mem_a}|{chan.mem_b}": chan.bandwidth * 2

@@ -1,14 +1,14 @@
-"""The routing model: the analyzer's view of the executor's copy paths.
+"""Routes as the analyzer sees them: the machine's own copy paths.
 
 Soundness of the per-channel congestion bound rests on two identities
-pinned here: the route reported for a memory pair is hop-for-hop the
-``Topology.copy_path`` the simulator's copy engine reserves, and the
-timeline key per hop is the engine's own serial channel key.
+pinned here: the analyzer and the simulator's copy engine read the same
+``Machine.route``, and the timeline key per hop is ``Channel.key``, the
+one key the copy engine reserves.
 """
 
 from __future__ import annotations
 
-from repro.analysis.routing import RoutingModel, channel_key, routing_model
+from repro.analysis.engine import diagnose_routes
 from repro.machine import lassen, shepard, single_node
 from repro.machine.kinds import MemKind, ProcKind
 from repro.machine.model import (
@@ -18,9 +18,12 @@ from repro.machine.model import (
     Memory,
     Processor,
 )
-from repro.machine.topology import Topology
+from repro.obs.trace import TraceRecorder
 from repro.runtime.copies import CopyEngine
-from repro.util.units import GIB
+from repro.runtime.events import TimelinePool
+from repro.runtime.instances import CopyNeed
+from repro.util.serialization import to_jsonable
+from repro.util.units import GIB, MIB
 
 
 def island_machine() -> Machine:
@@ -60,65 +63,58 @@ def island_machine() -> Machine:
 
 class TestChannelKey:
     def test_matches_copy_engine_key(self):
-        assert channel_key("n0.fb0", "n0.zc") == CopyEngine._channel_key(
-            "n0.fb0", "n0.zc"
-        )
+        machine = shepard(2)
+        recorder = TraceRecorder()
+        engine = CopyEngine(machine, TimelinePool(), recorder=recorder)
+        need = CopyNeed(src_mem="n0.fb0", lo=0, hi=MIB, src_time=0.0)
+        engine.execute(need, "n1.fb0", ready=0.0)
+        reserved = [span.resource for span in recorder.spans]
+        assert reserved == [
+            hop.key for hop in machine.route("n0.fb0", "n1.fb0")
+        ]
 
     def test_orientation_independent(self):
-        assert channel_key("a", "b") == channel_key("b", "a")
+        a = Channel(mem_a="a", mem_b="b", bandwidth=1e9)
+        b = Channel(mem_a="b", mem_b="a", bandwidth=1e9)
+        assert a.key == b.key == "chan:a<->b"
 
 
 class TestRoutes:
-    def test_routes_mirror_topology_paths(self):
-        for machine in (shepard(2), lassen(1)):
-            model = RoutingModel(machine)
-            topology = Topology(machine)
-            mems = [m.uid for m in machine.memories]
-            for src in mems:
-                for dst in mems:
-                    route = model.route(src, dst)
-                    path = topology.copy_path(src, dst)
-                    if path is None:
-                        assert route is None
-                        continue
-                    assert route == tuple(
-                        channel_key(h.mem_a, h.mem_b) for h in path.hops
-                    )
-
     def test_same_memory_routes_empty(self):
-        model = RoutingModel(shepard(1))
-        assert model.route("n0.zc", "n0.zc") == ()
-
-    def test_channel_bandwidth_lookup(self):
-        machine = shepard(1)
-        model = RoutingModel(machine)
-        chan = machine.channels[0]
-        key = channel_key(chan.mem_a, chan.mem_b)
-        assert model.channel_bandwidth(key) == chan.bandwidth
-        assert model.channel_bandwidth("chan:x<->y") is None
+        assert shepard(1).route("n0.zc", "n0.zc") == ()
 
 
 class TestUnreachable:
     def test_connected_machines_have_no_unreachable_pairs(self):
         for machine in (shepard(2), lassen(2), single_node()):
-            assert RoutingModel(machine).unreachable_pairs() == []
+            assert diagnose_routes(machine) == []
 
     def test_island_memory_is_reported(self):
-        model = RoutingModel(island_machine())
-        assert model.unreachable_pairs() == [
-            ("sysA", "sysB"),
-            ("sysB", "zc"),
-        ]
-        diags = model.diagnose()
+        machine = island_machine()
+        assert machine.route("sysA", "sysB") is None
+        diags = diagnose_routes(machine)
         assert [d.rule_id for d in diags] == ["AM503", "AM503"]
+        assert [d.span.memory for d in diags] == ["sysA", "sysB"]
         assert "sysB" in diags[0].message
+        assert "zc" in diags[1].message
 
 
 class TestModelCache:
     def test_same_machine_object_hits_cache(self):
+        # The route memo is private state: a machine that has routed
+        # every pair still equals, and serializes like, a fresh one.
         machine = shepard(1)
-        assert routing_model(machine) is routing_model(machine)
+        mems = [m.uid for m in machine.memories]
+        for src in mems:
+            for dst in mems:
+                machine.route(src, dst)
+        assert machine == shepard(1)
+        assert to_jsonable(machine) == to_jsonable(shepard(1))
 
     def test_equal_but_distinct_machines_get_distinct_models(self):
         a, b = shepard(1), shepard(1)
-        assert routing_model(a) is not routing_model(b)
+        assert a == b
+        assert a.route("n0.fb0", "n0.sys0") == b.route("n0.fb0", "n0.sys0")
+        assert a.route("n0.fb0", "n0.sys0") is not b.route(
+            "n0.fb0", "n0.sys0"
+        )

@@ -20,7 +20,6 @@ from repro.analysis.equivalence import (
     prove_equivalent,
     touchable_resources,
 )
-from repro.analysis.routing import channel_key
 from repro.apps import make_app
 from repro.core import AutoMapDriver, OracleConfig
 from repro.machine import MACHINE_ZOO
@@ -85,11 +84,7 @@ def _perturbation(base_index, rng):
         params["name"] = f"{machine.name}-v{rng.randrange(1000)}"
     if kind == "channel":
         touch = touchable_resources(graph, machine, space)
-        off = [
-            c
-            for c in machine.channels
-            if channel_key(c.mem_a, c.mem_b) not in touch.channel_keys
-        ]
+        off = [c for c in machine.channels if c.key not in touch.channel_keys]
         if off:
             chan = rng.choice(off)
             params["channel_bandwidth"] = {
@@ -206,11 +201,7 @@ class TestEngineeredInequivalence:
     def test_on_route_channel_rejected(self):
         graph, machine, space, config = _materialize(0, {})
         touch = touchable_resources(graph, machine, space)
-        chan = next(
-            c
-            for c in machine.channels
-            if channel_key(c.mem_a, c.mem_b) in touch.channel_keys
-        )
+        chan = next(c for c in machine.channels if c.key in touch.channel_keys)
         p_graph, p_machine, p_space, _ = _materialize(
             0,
             {
