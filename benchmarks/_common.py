@@ -12,12 +12,16 @@ import os
 from dataclasses import dataclass
 
 from repro.apps.base import App
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
+from repro.core.engine import PreparedTune
 from repro.machine.model import Machine
 from repro.runtime import SimConfig
 
 #: One fixed seed per harness run keeps every figure reproducible.
 SEED = 2023
+
+#: The stateless engine every benchmark tunes and measures through.
+ENGINE = TuningEngine()
 
 #: Suggestion cap for generic tuners (the paper's OpenTuner runs suggest
 #: ~157k mappings; quick mode uses a smaller but same-regime cap).
@@ -66,7 +70,7 @@ class PanelPoint:
     automap_speedup: float
 
 
-def make_driver(
+def prepare_tune(
     app: App,
     machine: Machine,
     algorithm: str = "ccd",
@@ -74,11 +78,11 @@ def make_driver(
     metric=None,
     spill: bool = True,
     seed: int = SEED,
-) -> AutoMapDriver:
+) -> PreparedTune:
     label = f"{app.name}-{app.input_label()}-{machine.name}-{algorithm}"
-    return AutoMapDriver(
-        app.graph(machine),
-        machine,
+    request = TuneRequest(
+        graph=app.graph(machine),
+        machine=machine,
         algorithm=algorithm,
         oracle_config=OracleConfig(
             max_suggestions=MAX_SUGGESTIONS[scale],
@@ -89,6 +93,7 @@ def make_driver(
         workers=bench_workers(),
         **bench_checkpoint_kwargs(label),
     )
+    return ENGINE.prepare(request)
 
 
 def run_panel_point(
@@ -97,10 +102,10 @@ def run_panel_point(
     """Measure default / custom / AutoMap for one (app, input, machine)
     point, exactly as Figure 6 plots them (speedups over the default
     mapper)."""
-    driver = make_driver(app, machine, scale=scale)
-    default_mean = driver.measure(driver.space.default_mapping())
-    custom_mean = driver.measure(app.custom_mapping(machine))
-    report = driver.tune()
+    prepared = prepare_tune(app, machine, scale=scale)
+    default_mean = ENGINE.measure(prepared, prepared.space.default_mapping())
+    custom_mean = ENGINE.measure(prepared, app.custom_mapping(machine))
+    report = ENGINE.run(prepared)
     return PanelPoint(
         label=app.input_label(),
         default_mean=default_mean,

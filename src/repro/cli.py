@@ -28,10 +28,9 @@ import re
 import sys
 from typing import Optional
 
-from repro.apps import APP_REGISTRY, make_app
-from repro.core import AutoMapSession, OracleConfig
+from repro.apps import APP_REGISTRY
+from repro.core import AutoMapSession
 from repro.machine import MACHINE_ZOO
-from repro.runtime import SimConfig
 from repro.util.logging import configure as configure_logging
 from repro.viz import render_mapping, render_mapping_diff
 
@@ -42,8 +41,6 @@ __all__ = [
     "parse_gen_params",
     "parse_machine_params",
 ]
-
-_MACHINES = dict(MACHINE_ZOO)
 
 
 def parse_app_input(app_name: str, label: Optional[str]) -> dict:
@@ -155,13 +152,43 @@ def parse_machine_params(pairs) -> dict:
     return out
 
 
-def _make_app(args):
-    """Construct the requested app from --input and --gen-param flags."""
-    kwargs = parse_app_input(args.app, args.input)
-    kwargs.update(parse_gen_params(getattr(args, "gen_param", None)))
+def _workload_doc(args) -> dict:
+    """The job-spec document of the ``add_common`` flags."""
+    return {
+        "app": args.app,
+        "input": args.input,
+        "gen_params": parse_gen_params(args.gen_param),
+        "machine": args.machine,
+        "nodes": args.nodes,
+    }
+
+
+def _spec_doc(args) -> dict:
+    """The job-spec document of the flags ``tune`` and ``submit``
+    share (``add_common`` plus ``add_search``)."""
+    return {
+        **_workload_doc(args),
+        "algorithm": args.algorithm,
+        "seed": args.seed,
+        "max_suggestions": args.max_suggestions,
+        "spill": not args.no_spill,
+        "static_prune": not args.no_static_prune,
+        "bound_prune": not args.no_bound_prune,
+        "workers": args.workers,
+        "incremental": not args.no_incremental,
+        "checkpoint_every": args.checkpoint_every,
+    }
+
+
+def _build(args, doc: dict):
+    """``(spec, app, graph, machine, space)`` of a job-spec document,
+    materialised exactly as the service materialises a submission."""
+    from repro.service.spec import JobSpec
+
     try:
-        return make_app(args.app, **kwargs)
-    except (TypeError, ValueError) as exc:
+        spec = JobSpec.from_doc(doc)
+        return (spec, *spec.build())
+    except ValueError as exc:
         raise SystemExit(f"repro {args.command}: {exc}")
 
 
@@ -171,15 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, app_required=True):
         p.add_argument(
-            "--app", required=True, choices=sorted(APP_REGISTRY)
+            "--app", required=app_required, choices=sorted(APP_REGISTRY)
         )
         p.add_argument(
             "--input", default=None, help="paper-style input label"
         )
         p.add_argument(
-            "--machine", default="shepard", choices=sorted(_MACHINES)
+            "--machine", default="shepard", choices=sorted(MACHINE_ZOO)
         )
         p.add_argument("--nodes", type=int, default=1)
         p.add_argument(
@@ -192,24 +219,66 @@ def build_parser() -> argparse.ArgumentParser:
             "as bool/int/float before falling back to strings",
         )
 
+    def add_search(p, checkpoint_every):
+        """The search flags ``tune`` and ``submit`` share; each sets one
+        :class:`~repro.service.spec.JobSpec` field (see _spec_doc)."""
+        p.add_argument(
+            "--algorithm",
+            default="ccd",
+            choices=["ccd", "cd", "opentuner", "random"],
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-suggestions", type=int, default=20_000)
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="process-pool size for parallel candidate evaluation "
+            "(1 = serial; execution knob: results and the service "
+            "cache key are identical either way)",
+        )
+        p.add_argument(
+            "--checkpoint-every",
+            type=int,
+            default=checkpoint_every,
+            metavar="N",
+            help="with a working directory, snapshot the full search "
+            "state to checkpoint.json every N evaluations (atomically "
+            "replaced; 0 = only at interrupt and at the end; crash "
+            "recovery resumes from the last one)",
+        )
+        p.add_argument(
+            "--no-spill",
+            action="store_true",
+            help="fail (instead of demoting) mappings that exceed capacity",
+        )
+        p.add_argument(
+            "--no-incremental",
+            action="store_true",
+            help="disable incremental re-simulation (prefix replay, "
+            "per-launch cost memoisation, spill/noise/validation caches); "
+            "reports, traces and checkpoints are byte-identical either "
+            "way — this is the slow reference path the CI identity gate "
+            "compares against",
+        )
+        p.add_argument(
+            "--no-static-prune",
+            action="store_true",
+            help="disable the static analysis layer (memory feasibility "
+            "short-circuit, equivalence canonicalization, search-space "
+            "pruning); results are identical, just slower",
+        )
+        p.add_argument(
+            "--no-bound-prune",
+            action="store_true",
+            help="disable bound-based pruning (skipping candidates whose "
+            "static makespan lower bound already exceeds the incumbent); "
+            "results are identical, just more simulations",
+        )
+
     tune = sub.add_parser("tune", help="run the AutoMap search")
     add_common(tune)
-    tune.add_argument(
-        "--algorithm",
-        default="ccd",
-        choices=["ccd", "cd", "opentuner", "random"],
-    )
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument(
-        "--max-suggestions", type=int, default=20_000
-    )
-    tune.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size for parallel candidate evaluation "
-        "(1 = serial; results are identical either way)",
-    )
+    add_search(tune, checkpoint_every=25)
     tune.add_argument("--workdir", default=None)
     tune.add_argument(
         "--resume",
@@ -219,15 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workdir WORKDIR); the resumed search replays the "
         "checkpoint deterministically and finishes bit-identically "
         "to an uninterrupted run with the same seed",
-    )
-    tune.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=25,
-        metavar="N",
-        help="with a workdir, snapshot the full search state to "
-        "checkpoint.json every N evaluations (atomically replaced; "
-        "0 = only at interrupt and at the end)",
     )
     tune.add_argument(
         "--worker-timeout",
@@ -245,34 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         "execution as <workdir>/trace.json (Chrome trace-event JSON, "
         "loadable in chrome://tracing or Perfetto); purely "
         "observational — the tuning result is byte-identical",
-    )
-    tune.add_argument(
-        "--no-spill",
-        action="store_true",
-        help="fail (instead of demoting) mappings that exceed capacity",
-    )
-    tune.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental re-simulation (prefix replay, "
-        "per-launch cost memoisation, spill/noise/validation caches); "
-        "reports, traces and checkpoints are byte-identical either "
-        "way — this is the slow reference path the CI identity gate "
-        "compares against",
-    )
-    tune.add_argument(
-        "--no-static-prune",
-        action="store_true",
-        help="disable the static analysis layer (memory feasibility "
-        "short-circuit, equivalence canonicalization, search-space "
-        "pruning); results are identical, just slower",
-    )
-    tune.add_argument(
-        "--no-bound-prune",
-        action="store_true",
-        help="disable bound-based pruning (skipping candidates whose "
-        "static makespan lower bound already exceeds the incumbent); "
-        "results are identical, just more simulations",
     )
     tune.add_argument(
         "--metrics-out",
@@ -293,21 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the static analysis passes (sanitizer, equivalence, "
         "memory feasibility) without searching",
     )
-    analyze.add_argument("--app", choices=sorted(APP_REGISTRY))
-    analyze.add_argument(
-        "--input", default=None, help="paper-style input label"
-    )
-    analyze.add_argument(
-        "--machine", default="shepard", choices=sorted(_MACHINES)
-    )
-    analyze.add_argument("--nodes", type=int, default=1)
-    analyze.add_argument(
-        "--gen-param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="app constructor knob (repeatable); see `tune --help`",
-    )
+    # --app is optional here: --list-rules needs no workload.
+    add_common(analyze, app_required=False)
     analyze.add_argument(
         "--mapping",
         action="append",
@@ -472,24 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a tuning job to a running `repro serve` instance",
     )
     add_common(submit)
+    add_search(submit, checkpoint_every=10)
     submit.add_argument(
         "--url",
         default="http://127.0.0.1:8432",
         help="service base URL (default: http://127.0.0.1:8432)",
-    )
-    submit.add_argument(
-        "--algorithm",
-        default="ccd",
-        choices=["ccd", "cd", "opentuner", "random"],
-    )
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--max-suggestions", type=int, default=20_000)
-    submit.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="server-side process-pool size for this job (execution "
-        "knob: does not change the result or the cache key)",
     )
     submit.add_argument(
         "--machine-param",
@@ -502,23 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "memory_capacity, proc_throughput, proc_launch_overhead, "
         "access_bandwidth, access_latency, channel_bandwidth, "
         "channel_latency (pair keys joined with '|')",
-    )
-    submit.add_argument("--no-spill", action="store_true")
-    submit.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="run the job on the full (non-incremental) simulation "
-        "path; execution knob — results and cache key are identical",
-    )
-    submit.add_argument("--no-static-prune", action="store_true")
-    submit.add_argument("--no-bound-prune", action="store_true")
-    submit.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=10,
-        metavar="N",
-        help="server-side checkpoint cadence for this job (evaluations "
-        "between snapshots; crash recovery resumes from the last one)",
     )
     submit.add_argument(
         "--wait",
@@ -579,30 +568,19 @@ def _cmd_tune(args) -> int:
                 "continues inside the original working directory"
             )
         workdir = args.resume
-    machine = _MACHINES[args.machine](args.nodes)
-    app = _make_app(args)
-    graph = app.graph(machine)
+    # The same spec `repro submit` posts, tuned through the same
+    # request fields the service worker uses.
+    spec, _, graph, machine, space = _build(args, _spec_doc(args))
     session = AutoMapSession(
         graph,
         machine,
-        algorithm=args.algorithm,
         workdir=workdir,
-        oracle_config=OracleConfig(max_suggestions=args.max_suggestions),
-        sim_config=SimConfig(
-            noise_sigma=0.04,
-            seed=args.seed,
-            spill=not args.no_spill,
-            incremental=not args.no_incremental,
-        ),
-        space=app.space(machine),
-        workers=args.workers,
-        static_prune=not args.no_static_prune,
-        bound_prune=not args.no_bound_prune,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume is not None,
+        metrics_out=args.metrics_out,
+        space=space,
         worker_timeout=args.worker_timeout,
         trace=args.trace,
-        metrics_out=args.metrics_out,
+        **spec.request_fields(),
     )
     default = session.default_mapping()
     t_default = session.measure(default)
@@ -617,10 +595,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    machine = _MACHINES[args.machine](args.nodes)
-    app = _make_app(args)
-    graph = app.graph(machine)
-    space = app.space(machine)
+    _, app, graph, machine, space = _build(args, _workload_doc(args))
     print(machine.describe())
     print()
     print(graph.describe())
@@ -644,10 +619,7 @@ def _cmd_analyze(args) -> int:
     if args.app is None:
         raise SystemExit("repro analyze: --app is required "
                          "(or use --list-rules)")
-    machine = _MACHINES[args.machine](args.nodes)
-    app = _make_app(args)
-    graph = app.graph(machine)
-    space = app.space(machine)
+    _, _, graph, machine, space = _build(args, _workload_doc(args))
 
     report = analyze(
         graph,
@@ -882,23 +854,8 @@ def _cmd_submit(args) -> int:
     import urllib.request
 
     base = args.url.rstrip("/")
-    doc = {
-        "app": args.app,
-        "input": args.input,
-        "gen_params": parse_gen_params(args.gen_param),
-        "machine": args.machine,
-        "nodes": args.nodes,
-        "machine_params": parse_machine_params(args.machine_param),
-        "algorithm": args.algorithm,
-        "seed": args.seed,
-        "max_suggestions": args.max_suggestions,
-        "spill": not args.no_spill,
-        "static_prune": not args.no_static_prune,
-        "bound_prune": not args.no_bound_prune,
-        "workers": args.workers,
-        "incremental": not args.no_incremental,
-        "checkpoint_every": args.checkpoint_every,
-    }
+    doc = _spec_doc(args)
+    doc["machine_params"] = parse_machine_params(args.machine_param)
     status, reply = _http_json(f"{base}/jobs", payload=doc)
     if status != 201:
         raise SystemExit(
@@ -982,7 +939,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_machines(_args) -> int:
-    for name, builder in sorted(_MACHINES.items()):
+    for name, builder in sorted(MACHINE_ZOO.items()):
         print(builder(1).describe())
         print()
     return 0
@@ -1011,7 +968,7 @@ def main(argv=None) -> int:
             return _cmd_machines(args)
     except KeyboardInterrupt:
         # A tune in progress has already flushed a final checkpoint
-        # (the driver catches the interrupt, saves, and re-raises), so
+        # (the engine catches the interrupt, saves, and re-raises), so
         # the run is resumable; exit with the conventional 128+SIGINT.
         print(
             "\ninterrupted — if a --workdir was set, continue with "

@@ -9,8 +9,9 @@ Public surface:
 
 - :class:`~repro.core.session.AutoMapSession` — the one-call user API
   ("AutoMap requires no modification to the application", §3.3);
-- :class:`~repro.core.driver.AutoMapDriver` — search orchestration with
-  budgets and the final top-5 re-evaluation protocol of §5;
+- :class:`~repro.core.engine.TuningEngine` — search orchestration with
+  budgets and the final top-5 re-evaluation protocol of §5, run on an
+  immutable :class:`~repro.core.engine.TuneRequest`;
 - :class:`~repro.core.oracle.SimulationOracle` — the evaluation oracle
   (repeated noisy runs, averaging, dedup, invalid/OOM rejection);
 - :class:`~repro.core.profiles.ProfileDatabase` — per-mapping performance
@@ -24,7 +25,6 @@ Public surface:
 from repro.core.oracle import OracleConfig, SimulationOracle
 from repro.core.profiles import ProfileDatabase, ProfileRecord
 from repro.core.engine import TuneRequest, TuningEngine, TuningReport
-from repro.core.driver import AutoMapDriver
 from repro.core.mapper import AutoMapMapper
 from repro.core.session import AutoMapSession
 from repro.core.spacefile import generate_space_file, load_space_file
@@ -34,7 +34,6 @@ __all__ = [
     "OracleConfig",
     "ProfileDatabase",
     "ProfileRecord",
-    "AutoMapDriver",
     "TuneRequest",
     "TuningEngine",
     "TuningReport",

@@ -5,17 +5,16 @@ single :class:`TuningEngine` instance serves any number of concurrent
 tuning requests, each described by an immutable :class:`TuneRequest`
 and materialised into a private :class:`PreparedTune` working set.  The
 split exists for mapping-as-a-service (:mod:`repro.service`): a service
-process keeps one engine and streams jobs through it, while the classic
-:class:`repro.core.driver.AutoMapDriver` remains as a thin stateful
-wrapper for one (application, machine) pair.
+process keeps one engine and streams jobs through it, and
+:class:`repro.core.session.AutoMapSession` wraps one request with its
+working-directory artifacts.
 
-The run itself is unchanged from the original driver: build the search
-space, instantiate the evaluation oracle with the configured measurement
-protocol and budget, invoke the pluggable search algorithm, and finish
-with the final re-evaluation protocol of §5: "as a final step of the
-search, the applications were executed with each of the top 5 mappings
-30 times; we report results for the mapping with the fastest average
-runtime."
+A run builds the search space, instantiates the evaluation oracle with
+the configured measurement protocol and budget, invokes the pluggable
+search algorithm, and finishes with the final re-evaluation protocol of
+§5: "as a final step of the search, the applications were executed with
+each of the top 5 mappings 30 times; we report results for the mapping
+with the fastest average runtime."
 """
 
 from __future__ import annotations
@@ -223,8 +222,6 @@ class TuneRequest:
     oracle_config: Optional[OracleConfig] = None
     sim_config: Optional[SimConfig] = None
     seed: int = 0
-    final_candidates: int = FINAL_CANDIDATES
-    final_runs: int = FINAL_RUNS
     #: A caller-provided space may restrict the searched kinds (fixed
     #: decisions, §3.3) — e.g. Maestro tunes only the LF ensemble.
     space: Optional[SearchSpace] = None
@@ -241,8 +238,6 @@ class TuneRequest:
     ] = None
     telemetry: Optional[SearchTelemetry] = None
     trace: bool = False
-    #: Optional explicit starting mapping (otherwise bound-guided).
-    start: Optional[Mapping] = None
 
     def with_(self, **changes) -> "TuneRequest":
         return replace(self, **changes)
@@ -393,8 +388,6 @@ class TuningEngine:
         request = prepared.request
         algorithm = prepared.algorithm
         telemetry = request.telemetry
-        if start is None:
-            start = request.start
 
         profiles = ProfileDatabase()
         serial_oracle = SimulationOracle(
@@ -470,13 +463,13 @@ class TuningEngine:
             # could plausibly rank among the finalists is simulated now
             # so the finalist selection below sees exactly the records
             # an unpruned run would have ranked.
-            serial_oracle.settle_pruned(request.final_candidates)
+            serial_oracle.settle_pruned(FINAL_CANDIDATES)
 
             # Final step (§5): re-measure the top candidates with more
             # runs and report the fastest average.
             finalists: List[Tuple[Mapping, float, float, int]] = []
-            for record in profiles.best(request.final_candidates):
-                extra = max(0, request.final_runs - record.count)
+            for record in profiles.best(FINAL_CANDIDATES):
+                extra = max(0, FINAL_RUNS - record.count)
                 if extra:
                     oracle.measure_more(record.mapping, extra)
                 finalists.append(

@@ -13,8 +13,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.driver import AutoMapDriver, TuningReport
-from repro.core.oracle import OracleConfig
+from repro.core.engine import (
+    FINAL_RUNS,
+    TuneRequest,
+    TuningEngine,
+    TuningReport,
+)
 from repro.core.profiles import ProfileDatabase
 from repro.core.spacefile import generate_space_file
 from repro.obs.telemetry import TELEMETRY_FILENAME, SearchTelemetry
@@ -22,7 +26,6 @@ from repro.obs.trace import TRACE_FILENAME
 from repro.machine.model import Machine
 from repro.mapping.mapping import Mapping
 from repro.resilience.checkpoint import CHECKPOINT_FILENAME, load_checkpoint
-from repro.runtime.simulator import SimConfig
 from repro.taskgraph.graph import TaskGraph
 from repro.util.logging import get_logger
 from repro.util.serialization import atomic_write_text
@@ -34,6 +37,11 @@ _LOG = get_logger("core.session")
 
 class AutoMapSession:
     """End-to-end tuning of one application on one machine.
+
+    Keyword arguments other than the session's own (``workdir``,
+    ``resume``, ``metrics_out``, ``telemetry``) are
+    :class:`~repro.core.engine.TuneRequest` fields and pass through to
+    the one request the session prepares.
 
     Examples
     --------
@@ -48,24 +56,12 @@ class AutoMapSession:
         self,
         graph: TaskGraph,
         machine: Machine,
-        algorithm: str = "ccd",
         workdir: Optional[Union[str, Path]] = None,
-        oracle_config: Optional[OracleConfig] = None,
-        sim_config: Optional[SimConfig] = None,
-        seed: int = 0,
-        space=None,
-        workers: int = 1,
-        static_prune: bool = True,
-        bound_prune: bool = True,
-        checkpoint_every: int = 0,
         resume: bool = False,
-        worker_timeout: Optional[float] = None,
-        trace: bool = False,
         metrics_out: Optional[Union[str, Path]] = None,
         telemetry: bool = True,
+        **request_fields,
     ) -> None:
-        self.graph = graph
-        self.machine = machine
         self.workdir = Path(workdir) if workdir is not None else None
         #: Optional path for a Prometheus text-format dump of the tuning
         #: run's metrics registry (written after :meth:`tune`).
@@ -82,12 +78,11 @@ class AutoMapSession:
         # the sink even with a working directory — the service does this
         # because telemetry records wall-clock seconds, which would make
         # the job directory differ across bit-identical runs.
-        self.telemetry = (
+        sink = (
             SearchTelemetry(self.workdir / TELEMETRY_FILENAME)
             if telemetry and self.workdir is not None
             else None
         )
-        self.trace = trace
 
         # Fault tolerance: with a working directory, the search state is
         # checkpointed to ``<workdir>/checkpoint.json`` (periodically
@@ -110,23 +105,18 @@ class AutoMapSession:
                 )
             resume_checkpoint = load_checkpoint(checkpoint_path)
 
-        self.driver = AutoMapDriver(
-            graph,
-            machine,
-            algorithm=algorithm,
-            oracle_config=oracle_config,
-            sim_config=sim_config,
-            seed=seed,
-            space=space,
-            workers=workers,
-            static_prune=static_prune,
-            bound_prune=bound_prune,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_checkpoint=resume_checkpoint,
-            worker_timeout=worker_timeout,
-            telemetry=self.telemetry,
-            trace=trace,
+        self.engine = TuningEngine()
+        #: The prepared tune (pruned space, simulator, static analyzers):
+        #: the driver's working set of the paper's Figure 4.
+        self.driver = self.engine.prepare(
+            TuneRequest(
+                graph=graph,
+                machine=machine,
+                checkpoint_path=checkpoint_path,
+                resume_checkpoint=resume_checkpoint,
+                telemetry=sink,
+                **request_fields,
+            )
         )
 
     # ------------------------------------------------------------------
@@ -135,12 +125,12 @@ class AutoMapSession:
         if self.workdir is not None:
             self.workdir.mkdir(parents=True, exist_ok=True)
             generate_space_file(
-                self.graph,
-                self.machine,
+                self.driver.graph,
+                self.driver.machine,
                 self.workdir / "search_space.json",
                 sim_config=self.driver.sim_config,
             )
-        report = self.driver.tune(start=start)
+        report = self.engine.run(self.driver, start=start)
         if self.workdir is not None:
             self._save_artifacts(report)
         if self.metrics_out is not None and report.metrics is not None:
@@ -161,12 +151,12 @@ class AutoMapSession:
             save_mapping(
                 report.best_mapping,
                 self.workdir / "best_mapping.json",
-                application=self.graph.name,
+                application=self.driver.graph.name,
             )
         profiles = ProfileDatabase()
         for mapping, mean, stddev, count in report.finalists:
             # Persist the finalists' summary (full sample sets live in the
-            # driver's database during the run).
+            # engine's database during the run).
             profiles.record(mapping, [mean] * min(count, 1))
         profiles.save(self.workdir / "finalists.json")
         if report.trace is not None:
@@ -177,10 +167,10 @@ class AutoMapSession:
         _LOG.info("artifacts written to %s", self.workdir)
 
     # ------------------------------------------------------------------
-    def measure(self, mapping: Mapping, runs: int = 31) -> float:
+    def measure(self, mapping: Mapping, runs: int = FINAL_RUNS) -> float:
         """Measure an arbitrary mapping (e.g. a hand-written baseline)
         with the same protocol as the tuner's final step."""
-        return self.driver.measure(mapping, runs=runs)
+        return self.engine.measure(self.driver, mapping, runs=runs)
 
     def default_mapping(self) -> Mapping:
         """The runtime's default starting mapping for this pair."""

@@ -49,7 +49,7 @@ from repro.resilience.supervisor import SupervisorStats
 from repro.search.base import INFEASIBLE, EvalOutcome
 from repro.util.logging import get_logger, kv
 
-if TYPE_CHECKING:  # import cycle: repro.core.driver uses BatchOracle
+if TYPE_CHECKING:  # import cycle: repro.core.engine uses BatchOracle
     from repro.core.oracle import SimulationOracle
 
 __all__ = ["BatchOracle"]

@@ -5,7 +5,7 @@ per-candidate timeouts, bounded retries with exponential backoff, pool
 rebuilds after :class:`~concurrent.futures.process.BrokenProcessPool`,
 and — when workers keep dying — graceful degradation to serial
 evaluation.  All of those events are counted here so the driver can
-surface them in the :class:`~repro.core.driver.TuningReport`.
+surface them in the :class:`~repro.core.engine.TuningReport`.
 
 The counts live in a :class:`repro.obs.metrics.MetricsRegistry` (under
 ``supervisor.*`` names) so they serialize alongside the oracle's

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.apps import APP_REGISTRY, make_app
+from repro.core.oracle import OracleConfig
 from repro.machine.builders import MACHINE_ZOO
+from repro.runtime.simulator import SimConfig
 
 __all__ = [
     "JobSpec",
@@ -233,6 +235,29 @@ class JobSpec:
         except TypeError as exc:
             raise ValueError(str(exc)) from None
         return app, app.graph(machine), machine, app.space(machine)
+
+    def request_fields(self) -> dict:
+        """The :class:`~repro.core.engine.TuneRequest` fields this spec
+        sets: everything but the graph, machine and space, which
+        :meth:`build` materialises.  ``repro tune`` and the service
+        worker both tune through this one mapping."""
+        return {
+            "algorithm": self.algorithm,
+            "oracle_config": OracleConfig(
+                max_suggestions=self.max_suggestions
+            ),
+            "sim_config": SimConfig(
+                noise_sigma=self.noise_sigma,
+                seed=self.seed,
+                spill=self.spill,
+                incremental=self.incremental,
+            ),
+            "seed": self.seed,
+            "workers": self.workers,
+            "static_prune": self.static_prune,
+            "bound_prune": self.bound_prune,
+            "checkpoint_every": self.checkpoint_every,
+        }
 
     def label(self) -> str:
         params = ",".join(

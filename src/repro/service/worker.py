@@ -25,12 +25,10 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.core.oracle import OracleConfig
 from repro.core.session import AutoMapSession
 from repro.obs.metrics import MetricsRegistry, to_prometheus_text
 from repro.obs.trace import TRACE_FILENAME
 from repro.resilience.checkpoint import CHECKPOINT_FILENAME
-from repro.runtime.simulator import SimConfig
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import (
     canonical_start_doc,
@@ -118,24 +116,12 @@ class JobWorker(threading.Thread):
         session = AutoMapSession(
             graph,
             machine,
-            algorithm=spec.algorithm,
             workdir=workdir,
-            oracle_config=OracleConfig(max_suggestions=spec.max_suggestions),
-            sim_config=SimConfig(
-                noise_sigma=spec.noise_sigma,
-                seed=spec.seed,
-                spill=spec.spill,
-                incremental=spec.incremental,
-            ),
-            seed=spec.seed,
-            space=space,
-            workers=spec.workers,
-            static_prune=spec.static_prune,
-            bound_prune=spec.bound_prune,
-            checkpoint_every=spec.checkpoint_every,
             resume=resume,
-            trace=True,
             telemetry=False,
+            space=space,
+            trace=True,
+            **spec.request_fields(),
         )
         start = None
         if spec.start_mapping is not None:

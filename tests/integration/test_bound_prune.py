@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
 from repro.runtime import SimConfig
 
@@ -34,9 +34,9 @@ CONFIGS = [
 def _tune(app_name, machine_factory, algorithm, bound_prune):
     machine = machine_factory(2)
     app = make_app(app_name)
-    driver = AutoMapDriver(
-        app.graph(machine),
-        machine,
+    request = TuneRequest(
+        graph=app.graph(machine),
+        machine=machine,
         algorithm=algorithm,
         oracle_config=OracleConfig(max_suggestions=600),
         sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
@@ -44,7 +44,7 @@ def _tune(app_name, machine_factory, algorithm, bound_prune):
         seed=SEED,
         bound_prune=bound_prune,
     )
-    return driver.tune()
+    return TuningEngine().tune(request)
 
 
 def _improvements(report):

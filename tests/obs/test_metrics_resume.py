@@ -13,12 +13,13 @@ import json
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.resilience import load_checkpoint
 from repro.runtime import SimConfig
 
 SEED = 2023
+ENGINE = TuningEngine()
 
 
 class KillAfter:
@@ -30,12 +31,12 @@ class KillAfter:
             raise KeyboardInterrupt
 
 
-def make_driver(**kwargs):
+def make_request(**kwargs):
     machine = shepard(2)
     app = make_app("stencil")
-    return AutoMapDriver(
-        app.graph(machine),
-        machine,
+    return TuneRequest(
+        graph=app.graph(machine),
+        machine=machine,
         algorithm="ccd",
         oracle_config=OracleConfig(max_suggestions=800),
         sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
@@ -54,24 +55,26 @@ def comparable(metrics: dict) -> dict:
 
 class TestMetricsSurviveResume:
     def test_resumed_metrics_equal_baseline(self, tmp_path):
-        baseline = make_driver().tune()
+        baseline = ENGINE.tune(make_request())
         assert baseline.metrics is not None
         assert baseline.metrics["counters"]["oracle.replayed"] == 0
 
         path = tmp_path / "checkpoint.json"
-        crashing = make_driver(
+        crashing = make_request(
             checkpoint_path=path,
             checkpoint_every=2,
-            observers=[KillAfter(3)],
+            observers=(KillAfter(3),),
         )
         with pytest.raises(KeyboardInterrupt):
-            crashing.tune()
+            ENGINE.tune(crashing)
 
-        resumed = make_driver(
-            checkpoint_path=path,
-            checkpoint_every=2,
-            resume_checkpoint=load_checkpoint(path),
-        ).tune()
+        resumed = ENGINE.tune(
+            make_request(
+                checkpoint_path=path,
+                checkpoint_every=2,
+                resume_checkpoint=load_checkpoint(path),
+            )
+        )
         assert resumed.metrics is not None
         assert resumed.metrics["counters"]["oracle.replayed"] > 0
         assert comparable(resumed.metrics) == comparable(baseline.metrics)
@@ -83,9 +86,9 @@ class TestMetricsSurviveResume:
 
     def test_checkpoint_embeds_metrics_snapshot(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        report = make_driver(
-            checkpoint_path=path, checkpoint_every=5
-        ).tune()
+        report = ENGINE.tune(
+            make_request(checkpoint_path=path, checkpoint_every=5)
+        )
         doc = json.loads(path.read_text())
         assert doc["format"] == "automap-checkpoint-v1"
         embedded = doc["metrics"]

@@ -21,7 +21,7 @@ from repro.analysis.equivalence import (
     touchable_resources,
 )
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import MACHINE_ZOO
 from repro.machine.overrides import apply_machine_params
 from repro.runtime import SimConfig
@@ -108,9 +108,9 @@ class _TuneCache:
             graph, machine, space, config = _materialize(
                 base_index, params
             )
-            self._reports[key] = AutoMapDriver(
-                graph,
-                machine,
+            request = TuneRequest(
+                graph=graph,
+                machine=machine,
                 algorithm=config["algorithm"],
                 oracle_config=OracleConfig(
                     max_suggestions=config["max_suggestions"]
@@ -123,7 +123,8 @@ class _TuneCache:
                 ),
                 space=space,
                 seed=config["seed"],
-            ).tune()
+            )
+            self._reports[key] = TuningEngine().tune(request)
         return self._reports[key]
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import shepard
 from repro.resilience import load_checkpoint
 from repro.runtime import SimConfig
 
 SEED = 2023
+ENGINE = TuningEngine()
 
 
 class KillAfter:
@@ -34,12 +35,12 @@ class KillAfter:
             raise KeyboardInterrupt
 
 
-def make_driver(app_name, algorithm, max_suggestions=800, **kwargs):
+def make_request(app_name, algorithm, max_suggestions=800, **kwargs):
     machine = shepard(2)
     app = make_app(app_name)
-    return AutoMapDriver(
-        app.graph(machine),
-        machine,
+    return TuneRequest(
+        graph=app.graph(machine),
+        machine=machine,
         algorithm=algorithm,
         oracle_config=OracleConfig(max_suggestions=max_suggestions),
         sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
@@ -71,30 +72,30 @@ def assert_reports_identical(baseline, resumed):
 def kill_and_resume(app_name, algorithm, tmp_path, kill_after=3):
     """Run uninterrupted; run again with a mid-search crash; resume;
     return (baseline report, resumed report)."""
-    baseline = make_driver(app_name, algorithm).tune()
+    baseline = ENGINE.tune(make_request(app_name, algorithm))
 
     path = tmp_path / "checkpoint.json"
-    crashing = make_driver(
+    crashing = make_request(
         app_name,
         algorithm,
         checkpoint_path=path,
         checkpoint_every=2,
-        observers=[KillAfter(kill_after)],
+        observers=(KillAfter(kill_after),),
     )
     with pytest.raises(KeyboardInterrupt):
-        crashing.tune()
+        ENGINE.tune(crashing)
     assert path.exists(), "interrupt must flush a final checkpoint"
     killed_at = load_checkpoint(path)
     assert 0 < killed_at.evaluated <= baseline.evaluated
 
-    resumed_driver = make_driver(
+    resuming = make_request(
         app_name,
         algorithm,
         checkpoint_path=path,
         checkpoint_every=2,
         resume_checkpoint=load_checkpoint(path),
     )
-    resumed = resumed_driver.tune()
+    resumed = ENGINE.tune(resuming)
     assert resumed.resumed
     # Every ledgered record replays: executed and failed evaluations.
     assert resumed.replayed == (
@@ -117,53 +118,57 @@ class TestKillThenResume:
     def test_double_kill(self, tmp_path):
         """Crash, resume, crash again, resume again: re-checkpointing a
         resumed run must carry un-replayed ledger entries forward."""
-        baseline = make_driver("stencil", "ccd").tune()
+        baseline = ENGINE.tune(make_request("stencil", "ccd"))
         path = tmp_path / "checkpoint.json"
 
-        first = make_driver(
+        first = make_request(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=2,
-            observers=[KillAfter(2)],
+            observers=(KillAfter(2),),
         )
         with pytest.raises(KeyboardInterrupt):
-            first.tune()
+            ENGINE.tune(first)
 
-        second = make_driver(
+        second = make_request(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=2,
             resume_checkpoint=load_checkpoint(path),
-            observers=[KillAfter(4)],
+            observers=(KillAfter(4),),
         )
         with pytest.raises(KeyboardInterrupt):
-            second.tune()
+            ENGINE.tune(second)
 
-        final = make_driver(
+        final = make_request(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=2,
             resume_checkpoint=load_checkpoint(path),
         )
-        assert_reports_identical(baseline, final.tune())
+        assert_reports_identical(baseline, ENGINE.tune(final))
 
     def test_resume_after_completion(self, tmp_path):
         """Resuming a finished run replays everything and reproduces
         the same report (idempotent resume)."""
         path = tmp_path / "checkpoint.json"
-        baseline = make_driver(
-            "stencil", "ccd", checkpoint_path=path, checkpoint_every=10
-        ).tune()
-        resumed = make_driver(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=10,
-            resume_checkpoint=load_checkpoint(path),
-        ).tune()
+        baseline = ENGINE.tune(
+            make_request(
+                "stencil", "ccd", checkpoint_path=path, checkpoint_every=10
+            )
+        )
+        resumed = ENGINE.tune(
+            make_request(
+                "stencil",
+                "ccd",
+                checkpoint_path=path,
+                checkpoint_every=10,
+                resume_checkpoint=load_checkpoint(path),
+            )
+        )
         assert resumed.replayed == baseline.evaluated
         assert_reports_identical(baseline, resumed)
 
@@ -172,14 +177,16 @@ class TestKillThenResume:
         ledgered candidates while new work still fans out to workers."""
         baseline, _ = kill_and_resume("stencil", "ccd", tmp_path)
         path = tmp_path / "checkpoint.json"
-        parallel = make_driver(
-            "stencil",
-            "ccd",
-            checkpoint_path=path,
-            checkpoint_every=5,
-            resume_checkpoint=load_checkpoint(path),
-            workers=2,
-        ).tune()
+        parallel = ENGINE.tune(
+            make_request(
+                "stencil",
+                "ccd",
+                checkpoint_path=path,
+                checkpoint_every=5,
+                resume_checkpoint=load_checkpoint(path),
+                workers=2,
+            )
+        )
         assert_reports_identical(baseline, parallel)
 
 
@@ -196,15 +203,15 @@ class TestBoundPruneResume:
 
     def test_checkpoint_roundtrips_prune_counter(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        crashing = make_driver(
+        crashing = make_request(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=2,
-            observers=[KillAfter(3)],
+            observers=(KillAfter(3),),
         )
         with pytest.raises(KeyboardInterrupt):
-            crashing.tune()
+            ENGINE.tune(crashing)
         killed_at = load_checkpoint(path)
         assert killed_at.bound_pruned >= 0
         # The flushed ledger only holds really-evaluated candidates;
@@ -219,24 +226,28 @@ class TestResumeGuards:
         from repro.resilience import CheckpointMismatch
 
         path = tmp_path / "checkpoint.json"
-        crashing = make_driver(
+        crashing = make_request(
             "stencil",
             "ccd",
             checkpoint_path=path,
             checkpoint_every=2,
-            observers=[KillAfter(3)],
+            observers=(KillAfter(3),),
         )
         with pytest.raises(KeyboardInterrupt):
-            crashing.tune()
+            ENGINE.tune(crashing)
         with pytest.raises(CheckpointMismatch):
-            make_driver(
-                "circuit",
-                "ccd",
-                resume_checkpoint=load_checkpoint(path),
+            ENGINE.prepare(
+                make_request(
+                    "circuit",
+                    "ccd",
+                    resume_checkpoint=load_checkpoint(path),
+                )
             )
         with pytest.raises(CheckpointMismatch):
-            make_driver(
-                "stencil",
-                "random",
-                resume_checkpoint=load_checkpoint(path),
+            ENGINE.prepare(
+                make_request(
+                    "stencil",
+                    "random",
+                    resume_checkpoint=load_checkpoint(path),
+                )
             )

@@ -11,21 +11,27 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig, SimulationOracle
+from repro.core import (
+    OracleConfig,
+    SimulationOracle,
+    TuneRequest,
+    TuningEngine,
+)
 from repro.machine import shepard
 from repro.parallel import BatchOracle
 from repro.resilience.faults import FaultPlan
 from repro.runtime import SimConfig, Simulator
 
 SEED = 2023
+ENGINE = TuningEngine()
 
 
-def make_driver(algorithm="ccd", max_suggestions=300, **kwargs):
+def make_request(algorithm="ccd", max_suggestions=300, **kwargs):
     machine = shepard(2)
     app = make_app("stencil")
-    return AutoMapDriver(
-        app.graph(machine),
-        machine,
+    return TuneRequest(
+        graph=app.graph(machine),
+        machine=machine,
         algorithm=algorithm,
         oracle_config=OracleConfig(max_suggestions=max_suggestions),
         sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
@@ -134,31 +140,31 @@ class TestInjectedFaults:
     """End-to-end: injected worker faults never change the report."""
 
     def test_occasional_crashes_are_recovered(self, monkeypatch):
-        serial = make_driver().tune()
+        serial = ENGINE.tune(make_request())
         monkeypatch.setenv("REPRO_FAULT_CRASH_P", "0.3")
         monkeypatch.setenv("REPRO_FAULT_SEED", "7")
-        supervised = make_driver(workers=2).tune()
+        supervised = ENGINE.tune(make_request(workers=2))
         assert_reports_identical(serial, supervised)
         assert supervised.recovery.any_events
         assert supervised.recovery.broken_pools > 0
 
     def test_total_crash_degrades_to_serial(self, monkeypatch):
-        serial = make_driver().tune()
+        serial = ENGINE.tune(make_request())
         monkeypatch.setenv("REPRO_FAULT_CRASH_P", "1.0")
         monkeypatch.setenv("REPRO_FAULT_SEED", "7")
-        supervised = make_driver(workers=2).tune()
+        supervised = ENGINE.tune(make_request(workers=2))
         assert_reports_identical(serial, supervised)
         assert supervised.recovery.serial_fallback
         assert supervised.recovery.pool_rebuilds > 0
 
     def test_hung_workers_are_timed_out(self, monkeypatch):
-        serial = make_driver(max_suggestions=120).tune()
+        serial = ENGINE.tune(make_request(max_suggestions=120))
         monkeypatch.setenv("REPRO_FAULT_HANG_P", "1.0")
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "60")
         monkeypatch.setenv("REPRO_FAULT_SEED", "3")
-        supervised = make_driver(
-            max_suggestions=120, workers=2, worker_timeout=0.5
-        ).tune()
+        supervised = ENGINE.tune(
+            make_request(max_suggestions=120, workers=2, worker_timeout=0.5)
+        )
         assert_reports_identical(serial, supervised)
         assert supervised.recovery.timeouts > 0
         assert supervised.recovery.pool_rebuilds > 0

@@ -3,12 +3,11 @@ after restart with a result byte-identical to an uninterrupted run."""
 
 from __future__ import annotations
 
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import TuneRequest, TuningEngine
 from repro.resilience.checkpoint import (
     CHECKPOINT_FILENAME,
     try_load_checkpoint,
 )
-from repro.runtime import SimConfig
 from repro.service import JobState, MappingService
 from repro.service.result import RESULT_FILENAME
 from repro.service.spec import JobSpec
@@ -45,25 +44,16 @@ def _crash_mid_job(service: MappingService, job_id: str) -> None:
     _, graph, machine, space = spec.build()
     workdir = service.store.work_dir(job_id)
     workdir.mkdir(parents=True, exist_ok=True)
-    driver = AutoMapDriver(
-        graph,
-        machine,
-        algorithm=spec.algorithm,
-        oracle_config=OracleConfig(max_suggestions=spec.max_suggestions),
-        sim_config=SimConfig(
-            noise_sigma=spec.noise_sigma,
-            seed=spec.seed,
-            spill=spec.spill,
-            incremental=spec.incremental,
-        ),
+    request = TuneRequest(
+        graph=graph,
+        machine=machine,
         space=space,
-        seed=spec.seed,
         checkpoint_path=workdir / CHECKPOINT_FILENAME,
-        checkpoint_every=spec.checkpoint_every,
-        observers=[_KillAfter(3)],
+        observers=(_KillAfter(3),),
+        **spec.request_fields(),
     )
     try:
-        driver.tune()
+        TuningEngine().tune(request)
     except KeyboardInterrupt:
         pass
     assert (workdir / CHECKPOINT_FILENAME).exists()

@@ -152,6 +152,47 @@ class TestCommands:
         assert "makespan" in out
         assert "breakdown:" in out
 
+    def test_tune_seed_matches_service_request(self, capsys):
+        """``tune --seed N`` tunes the request the service builds for
+        the same spec: N seeds the search RNG, not only the noise."""
+        from repro.core import TuneRequest, TuningEngine
+        from repro.service.spec import JobSpec
+
+        spec = JobSpec(
+            app="stencil",
+            input="200x200",
+            algorithm="random",
+            seed=3,
+            max_suggestions=40,
+        )
+        _, graph, machine, space = spec.build()
+        expected = TuningEngine().tune(
+            TuneRequest(
+                graph=graph,
+                machine=machine,
+                space=space,
+                **spec.request_fields(),
+            )
+        )
+        code = main(
+            [
+                "tune",
+                "--app",
+                "stencil",
+                "--input",
+                "200x200",
+                "--algorithm",
+                "random",
+                "--seed",
+                "3",
+                "--max-suggestions",
+                "40",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(expected.describe() + "\n")
+
     def test_trace_subcommand_rejects_garbage(self, tmp_path):
         bad = tmp_path / "not-a-trace.json"
         bad.write_text('{"foo": 1}')

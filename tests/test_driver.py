@@ -1,15 +1,16 @@
-"""Unit tests for the AutoMap driver, session, mapper, and space file."""
+"""Unit tests for the tuning engine, session, mapper, and space file."""
 
 import pytest
 
 from repro.core import (
-    AutoMapDriver,
     AutoMapMapper,
     AutoMapSession,
+    TuneRequest,
+    TuningEngine,
     generate_space_file,
     load_space_file,
 )
-from repro.core.driver import make_algorithm
+from repro.core.engine import make_algorithm
 from repro.machine.kinds import MemKind
 from repro.mapping import SearchSpace
 from repro.runtime import SimConfig
@@ -26,14 +27,20 @@ class TestMakeAlgorithm:
 
 
 class TestDriver:
-    def test_tune_produces_report(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(
-            diamond_graph,
-            mini_machine,
-            algorithm="ccd",
+    """The engine's search + final re-evaluation protocol (the paper's
+    driver, Figure 4)."""
+
+    def _request(self, graph, machine):
+        return TuneRequest(
+            graph=graph,
+            machine=machine,
             sim_config=SimConfig(noise_sigma=0.02, seed=9),
         )
-        report = driver.tune()
+
+    def test_tune_produces_report(self, diamond_graph, mini_machine):
+        report = TuningEngine().tune(
+            self._request(diamond_graph, mini_machine)
+        )
         assert report.best_mapping is not None
         assert report.best_mean > 0
         assert report.evaluated > 0
@@ -41,28 +48,27 @@ class TestDriver:
         assert 0 < report.evaluation_fraction <= 1
 
     def test_final_reevaluation_31_runs(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(
-            diamond_graph, mini_machine,
-            sim_config=SimConfig(noise_sigma=0.02, seed=9),
+        report = TuningEngine().tune(
+            self._request(diamond_graph, mini_machine)
         )
-        report = driver.tune()
         # Every finalist re-measured to >= 31 samples (§5).
         for _, _, _, count in report.finalists:
             assert count >= 31
         assert len(report.finalists) <= 5
 
     def test_best_at_most_default(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(
-            diamond_graph, mini_machine,
-            sim_config=SimConfig(noise_sigma=0.02, seed=9),
+        engine = TuningEngine()
+        prepared = engine.prepare(self._request(diamond_graph, mini_machine))
+        default_mean = engine.measure(
+            prepared, prepared.space.default_mapping()
         )
-        default_mean = driver.measure(driver.space.default_mapping())
-        report = driver.tune()
+        report = engine.run(prepared)
         assert report.best_mean <= default_mean * 1.02
 
     def test_describe(self, diamond_graph, mini_machine):
-        driver = AutoMapDriver(diamond_graph, mini_machine)
-        report = driver.tune()
+        report = TuningEngine().tune(
+            TuneRequest(graph=diamond_graph, machine=mini_machine)
+        )
         text = report.describe()
         assert "best mean time" in text and "evaluated" in text
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig
+from repro.core import OracleConfig, TuneRequest, TuningEngine
 from repro.machine import lassen, shepard
 from repro.machine.kinds import ADDRESSABLE
 from repro.mapping import SearchSpace
@@ -214,9 +214,9 @@ def test_tune_identity(app_name):
     app = make_app(app_name, **APP_INPUTS[app_name])
     reports = {}
     for incremental in (True, False):
-        driver = AutoMapDriver(
-            app.graph(machine),
-            machine,
+        request = TuneRequest(
+            graph=app.graph(machine),
+            machine=machine,
             algorithm="ccd",
             oracle_config=OracleConfig(max_suggestions=60),
             sim_config=SimConfig(
@@ -229,7 +229,7 @@ def test_tune_identity(app_name):
             seed=7,
             trace=True,
         )
-        reports[incremental] = driver.tune()
+        reports[incremental] = TuningEngine().tune(request)
     inc, full = reports[True], reports[False]
     assert inc.best_mapping.key() == full.best_mapping.key()
     assert inc.best_mean.hex() == full.best_mean.hex()

@@ -15,23 +15,29 @@ import time
 import pytest
 
 from repro.apps import make_app
-from repro.core import AutoMapDriver, OracleConfig, SimulationOracle
+from repro.core import (
+    OracleConfig,
+    SimulationOracle,
+    TuneRequest,
+    TuningEngine,
+)
 from repro.machine import shepard
 from repro.parallel import BatchOracle, SimulatorSpec
 from repro.runtime import SimConfig, Simulator
 from repro.util.rng import RngStream
 
 SEED = 2023
+ENGINE = TuningEngine()
 
 ALGORITHMS = ["ccd", "cd", "random", "opentuner"]
 
 
-def make_driver(app_name, algorithm, workers, max_suggestions=800, **kwargs):
+def make_request(app_name, algorithm, workers, max_suggestions=800, **kwargs):
     machine = shepard(2)
     app = make_app(app_name, **kwargs)
-    return AutoMapDriver(
-        app.graph(machine),
-        machine,
+    return TuneRequest(
+        graph=app.graph(machine),
+        machine=machine,
         algorithm=algorithm,
         oracle_config=OracleConfig(max_suggestions=max_suggestions),
         sim_config=SimConfig(noise_sigma=0.04, seed=SEED, spill=True),
@@ -54,14 +60,14 @@ def assert_reports_identical(serial, parallel):
 class TestParallelSerialEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_circuit(self, algorithm):
-        serial = make_driver("circuit", algorithm, workers=1).tune()
-        parallel = make_driver("circuit", algorithm, workers=4).tune()
+        serial = ENGINE.tune(make_request("circuit", algorithm, workers=1))
+        parallel = ENGINE.tune(make_request("circuit", algorithm, workers=4))
         assert_reports_identical(serial, parallel)
 
     @pytest.mark.parametrize("algorithm", ["ccd", "random"])
     def test_stencil(self, algorithm):
-        serial = make_driver("stencil", algorithm, workers=1).tune()
-        parallel = make_driver("stencil", algorithm, workers=4).tune()
+        serial = ENGINE.tune(make_request("stencil", algorithm, workers=1))
+        parallel = ENGINE.tune(make_request("stencil", algorithm, workers=4))
         assert_reports_identical(serial, parallel)
 
 
@@ -216,11 +222,13 @@ def test_ccd_circuit_wall_clock_speedup():
     faster with 4 workers."""
 
     def timed(workers):
-        driver = make_driver(
-            "circuit", "ccd", workers, max_suggestions=400, iterations=30
+        prepared = ENGINE.prepare(
+            make_request(
+                "circuit", "ccd", workers, max_suggestions=400, iterations=30
+            )
         )
         start = time.perf_counter()
-        report = driver.tune()
+        report = ENGINE.run(prepared)
         return report, time.perf_counter() - start
 
     serial_report, serial_wall = timed(1)
