@@ -394,21 +394,27 @@ class StaticBoundAnalyzer:
             if total > 0:
                 self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
 
-        # Routed-vs-incident tightening observed across fresh full
-        # breakdowns (ratio >= 1; the report uses the deterministic
-        # :meth:`gap_ratio` of one mapping instead of this running mean).
-        self._gap_sum = 0.0
-        self._gap_count = 0
-
         # Caches (all keyed on deterministic values).
         self._node_count_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._duration_cache: Dict[Tuple, float] = {}
         self._best_duration_cache: Dict[str, Tuple[float, int]] = {}
-        self._placement_cache: Dict[Tuple, Tuple[Tuple[str, ...], ...]] = {}
         self._interval_cache: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
         self._breakdown_cache: Dict[Tuple, BoundBreakdown] = {}
         self._quick_cache: Dict[Tuple, float] = {}
         self._replay_ops_cache: Dict[Tuple, Optional[Tuple]] = {}
+        #: Launch uid -> the launch's replay signature.  Placement and
+        #: the replay ops depend on a launch only through its kind,
+        #: size, work and argument byte ranges, so iterations that
+        #: relaunch the same shape share one ops entry per decision.
+        self._signature: Dict[str, Tuple] = {
+            launch.uid: (
+                launch.kind.name,
+                launch.size,
+                launch.flops,
+                tuple((arg.root, arg.interval) for arg in launch.args),
+            )
+            for launch in self._order
+        }
 
         # Incremental flow-walk state: along a search chain consecutive
         # bound requests differ in few kinds, so the walk replays the
@@ -565,18 +571,11 @@ class StaticBoundAnalyzer:
         self, launch: TaskLaunch, decision: MappingDecision
     ) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
         """Placer mirror: per-point processor uids and per-point
-        per-slot memory uids, cached per (launch, decision)."""
-        key = (launch.uid, decision.key())
-        cached = self._placement_cache.get(key)
-        if cached is None:
-            placements = self._placer.place_launch(launch, decision)
-            procs = tuple(p.proc.uid for p in placements)
-            mems = tuple(
-                tuple(m.uid for m in p.mems) for p in placements
-            )
-            cached = (procs, mems)
-            self._placement_cache[key] = cached
-        return cached
+        per-slot memory uids (computed once per replay-ops entry)."""
+        placements = self._placer.place_launch(launch, decision)
+        procs = tuple(p.proc.uid for p in placements)
+        mems = tuple(tuple(m.uid for m in p.mems) for p in placements)
+        return procs, mems
 
     def _shard_intervals(
         self, launch: TaskLaunch, slot_index: int, for_write: bool
@@ -658,7 +657,9 @@ class StaticBoundAnalyzer:
 
     def _replay_ops(self, launch: TaskLaunch, decision) -> Optional[Tuple]:
         """The launch's schedule-replay operations under ``decision`` —
-        a pure function of the pair, cached across the search chain.
+        a pure function of the launch's signature and the decision,
+        cached across the search chain and shared by every launch with
+        the same signature.
 
         Returns ``(points, writes)``: ``points`` is a tuple, one entry
         per point task in placement order, of ``(proc_uid, duration,
@@ -670,7 +671,7 @@ class StaticBoundAnalyzer:
         provably cannot change the flow state).  ``None`` marks an
         invalid decision (no placement, no flow, no schedule).
         """
-        key = (launch.uid, decision.key())
+        key = (self._signature[launch.uid], decision.key())
         if key in self._replay_ops_cache:
             return self._replay_ops_cache[key]
         ops: Optional[Tuple]
@@ -689,6 +690,15 @@ class StaticBoundAnalyzer:
                 for i, slot in enumerate(launch.kind.slots)
                 if slot.privilege.writes
             ]
+            # Per-slot access terms are the same for every point.
+            slot_costs = [
+                (
+                    slot_index,
+                    int(slot.privilege.reads) + int(slot.privilege.writes),
+                    launch.arg_bytes_per_point(slot_index),
+                )
+                for slot_index, slot in enumerate(launch.kind.slots)
+            ]
             point_flops = launch.flops / launch.size
             gpu_adjust = (
                 launch.kind.gpu_speedup
@@ -701,16 +711,12 @@ class StaticBoundAnalyzer:
                 proc_uid = point_procs[point]
                 proc = self.machine.processor(proc_uid)
                 access_seconds = 0.0
-                for slot_index, slot in enumerate(launch.kind.slots):
+                for slot_index, passes, bytes_pp in slot_costs:
                     link = self.machine.access_link(
                         proc_uid, point_mems[point][slot_index]
                     )
                     if link is None:  # unreachable slot: invalid decision
                         break
-                    passes = int(slot.privilege.reads) + int(
-                        slot.privilege.writes
-                    )
-                    bytes_pp = launch.arg_bytes_per_point(slot_index)
                     access_seconds += (
                         link.latency + bytes_pp / link.bandwidth
                     ) * passes
@@ -1048,9 +1054,6 @@ class StaticBoundAnalyzer:
                 comm_channel_share=share,
                 schedule=schedule,
             )
-            if incident > 0.0:
-                self._gap_sum += comm / incident
-                self._gap_count += 1
         self._breakdown_cache[key] = result
         return result
 
@@ -1068,23 +1071,15 @@ class StaticBoundAnalyzer:
         """Sound lower bound on ``Simulator.run(mapping).makespan``."""
         return self.breakdown(mapping).total
 
-    @property
-    def bound_gap_ratio(self) -> float:
-        """Mean routed/incident tightening over every fresh full
-        breakdown this analyzer computed (1.0 when none had traffic)."""
-        if self._gap_count == 0:
-            return 1.0
-        return self._gap_sum / self._gap_count
-
     def gap_ratio(self, mapping: Mapping) -> float:
         """Routed-vs-incident tightening for one mapping: how much the
         channel-path congestion bound improves on the incident aggregate
         (>= 1.0; exactly 1.0 when the mapping moves no bytes).
 
-        A pure function of ``(graph, machine, mapping)`` — unlike the
-        running mean above, it does not depend on which candidates the
-        search happened to bound, so reports built from it stay
-        bit-identical across checkpoint/resume.
+        A pure function of ``(graph, machine, mapping)``: it does not
+        depend on which candidates the search happened to bound, so
+        reports built from it stay bit-identical across
+        checkpoint/resume.
         """
         bd = self.breakdown(mapping)
         if bd.communication_incident <= 0.0:
@@ -1096,10 +1091,13 @@ class StaticBoundAnalyzer:
         traffic component.
 
         Weaker than :meth:`lower_bound` but skips the flow-map walk
-        that dominates the full breakdown, so it is the right price for
-        *ordering* decisions — seeding and best-bound-first move
-        ranking — where only the relative ranking matters and a sound
-        but loose value cannot change correctness.
+        that dominates the full breakdown.  It prices *ordering*
+        decisions (seeding and best-bound-first move ranking) and is the
+        first tier of the oracle's prune check: it is the ``max`` over a
+        subset of the very floats :attr:`BoundBreakdown.total` maxes
+        over (the same :meth:`_chain_components` call), so
+        ``quick_bound(m) <= lower_bound(m)`` holds exactly in floating
+        point and any prune it decides, the full bound decides too.
         """
         key = mapping.key()
         cached = self._quick_cache.get(key)

@@ -17,6 +17,7 @@ measurement protocol of §5 and the accounting of §5.3:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -109,12 +110,17 @@ class SimulationOracle:
         #: optional :class:`repro.analysis.bounds.StaticBoundAnalyzer`:
         #: once an incumbent exists, candidates whose sound makespan
         #: lower bound already meets or exceeds it are rejected without
-        #: simulation.  Because the bound provably under-estimates the
-        #: measured mean and every search accepts only strict
-        #: improvements, the pruned search takes the exact same
-        #: trajectory as the unpruned one.  The driver gates this on
-        #: algorithms that only *compare* outcomes (CD/CCD/random) and
-        #: on the default makespan metric.
+        #: simulation.  The check is tiered: the cheap quick bound
+        #: (critical path + load) is tried first and the full bound is
+        #: walked only when the quick one cannot prune.  Because the
+        #: quick bound never exceeds the full one, the tiers prune
+        #: exactly the candidates the full bound alone would; and
+        #: because the bound provably under-estimates the measured mean
+        #: and every search accepts only strict improvements, the
+        #: pruned search takes the exact same trajectory as the
+        #: unpruned one.  The engine gates this on algorithms that only
+        #: *compare* outcomes (CD/CCD/random) and on the default
+        #: makespan metric.
         self.bounds = bounds
         #: All evaluation accounting lives in one metrics registry
         #: (:mod:`repro.obs.metrics`); the attribute-style reads the
@@ -160,8 +166,10 @@ class SimulationOracle:
         #: Bound-pruned candidates in pruning order (canonical key →
         #: mapping), revisited by :meth:`settle_pruned`.
         self._bound_ledger: Dict[tuple, Mapping] = {}
-        #: Per-candidate bound on measured mean (None = no sound bound).
+        #: Per-candidate bounds on measured mean (None = no sound
+        #: bound), from the full and from the quick static bound.
         self._bound_cache: Dict[tuple, Optional[float]] = {}
+        self._quick_cache: Dict[tuple, Optional[float]] = {}
         #: Keys whose profile records exist only because of settling —
         #: excluded from checkpoint replay ledgers, since an
         #: uninterrupted run never *evaluated* them.
@@ -223,14 +231,6 @@ class SimulationOracle:
         if self.canonicalizer is None:
             return 0
         return getattr(self.canonicalizer, "symmetry_folds", 0)
-
-    @property
-    def bound_gap_ratio(self) -> float:
-        """Mean routed-vs-incident tightening over the bounds this
-        oracle computed (1.0 without a bound analyzer)."""
-        if self.bounds is None:
-            return 1.0
-        return getattr(self.bounds, "bound_gap_ratio", 1.0)
 
     @property
     def settled_keys(self) -> frozenset:
@@ -400,8 +400,8 @@ class SimulationOracle:
                     performance=INFEASIBLE, failed=True, reason=oom
                 )
 
-        if self.would_bound_prune(mapping):
-            lb_perf = self._bound_perf(mapping)
+        lb_perf = self._prune_bound(mapping)
+        if lb_perf is not None:
             self._bound_pruned.inc()
             self._bound_ledger.setdefault(mapping.key(), mapping)
             # Not recorded in profiles: the measured mean is unknown.
@@ -455,45 +455,75 @@ class SimulationOracle:
     # ------------------------------------------------------------------
     # Bound-based pruning (see repro.analysis.bounds)
     # ------------------------------------------------------------------
-    def _bound_perf(self, mapping: Mapping) -> Optional[float]:
+    def _bound_perf(
+        self, mapping: Mapping, quick: bool = False
+    ) -> Optional[float]:
         """A sound lower bound on the mean performance :meth:`_evaluate`
         would report for ``mapping`` (already canonical), or ``None``
-        when no sound bound exists.
+        when no sound bound exists.  Cached per key.
 
         The makespan bound is priced on the mapping the simulator would
         actually execute (spill demotions applied) and scaled by the
         candidate's exact mean noise factor; the extra ``FLOAT_SAFETY``
         deflation dwarfs the rounding of the sample-mean sum.
+
+        ``quick`` prices the analyzer's ``quick_bound`` instead of its
+        full ``lower_bound``.  The full bound is a ``max`` over a
+        superset of the quick bound's float components, and scaling by
+        the same positive factors is monotone in IEEE arithmetic, so
+        the quick price never exceeds the full one.
         """
+        cache = self._quick_cache if quick else self._bound_cache
         key = mapping.key()
-        if key in self._bound_cache:
-            return self._bound_cache[key]
+        if key in cache:
+            return cache[key]
         try:
             executed = self.simulator.spill_plan(mapping)
         except OOMError:
             # Let the normal path record the runtime OOM failure.
             value: Optional[float] = None
         else:
-            lower = self.bounds.lower_bound(executed)
+            bound = (
+                self.bounds.quick_bound if quick else self.bounds.lower_bound
+            )
             factor = self.simulator.noise.mean_factor(
                 key, self.config.runs_per_eval
             )
-            value = lower * factor * FLOAT_SAFETY
-        self._bound_cache[key] = value
+            value = bound(executed) * factor * FLOAT_SAFETY
+        cache[key] = value
         return value
+
+    def _prune_bound(self, mapping: Mapping) -> Optional[float]:
+        """The bound that rejects ``mapping`` (canonical) against the
+        incumbent right now, or ``None`` when it survives.
+
+        The tightest bound already known decides: a cached full bound,
+        else the quick bound, and the full bound is walked only when the
+        quick one cannot prune.  Since quick <= full, the set of pruned
+        candidates is exactly the one the full bound alone would prune.
+        """
+        if self.bounds is None or self.config.metric is not None:
+            return None
+        best = self.best_performance
+        if not math.isfinite(best):
+            return None
+        key = mapping.key()
+        if key in self._bound_cache:
+            lb_perf = self._bound_cache[key]
+        else:
+            lb_perf = self._bound_perf(mapping, quick=True)
+            if lb_perf is not None and lb_perf < best:
+                lb_perf = self._bound_perf(mapping)
+        if lb_perf is None or lb_perf < best:
+            return None
+        return lb_perf
 
     def would_bound_prune(self, mapping: Mapping) -> bool:
         """Whether :meth:`evaluate` would reject ``mapping`` (canonical)
         on its static bound right now.  Used by the batch layer to skip
         prefetching doomed candidates; monotone over a search, since the
         incumbent only improves."""
-        if self.bounds is None or self.config.metric is not None:
-            return False
-        best = self.best_performance
-        if not math.isfinite(best):
-            return False
-        lb_perf = self._bound_perf(mapping)
-        return lb_perf is not None and lb_perf >= best
+        return self._prune_bound(mapping) is not None
 
     def settle_pruned(self, top_n: int) -> int:
         """Measure the pruned candidates that could reach the top-``n``
@@ -512,6 +542,17 @@ class SimulationOracle:
         samples :meth:`_evaluate` would have drawn; search accounting
         (evaluated/failed counters, clocks, trace, best) is
         deliberately untouched — settling happens after the search.
+
+        Full bounds are computed lazily.  The best-bound-first order
+        runs over a heap keyed ``(bound, ledger index)`` that starts
+        from the quick bounds: a popped quick bound is replaced by the
+        candidate's full bound, a popped full bound is settled.  Because
+        ``quick <= full`` and the key carries the ledger index, full
+        bounds still pop in exactly the stable best-full-bound-first
+        order; and a popped quick bound above the threshold stops the
+        loop, since every full bound left is at least as large.  So the
+        same candidates settle, in the same order, while the flow walk
+        runs only for candidates reached before the cut-off.
         """
         settled = 0
         if not self._bound_ledger:
@@ -521,52 +562,55 @@ class SimulationOracle:
             ranked = self.profiles.best(top_n)
             return ranked[-1].mean if len(ranked) >= top_n else math.inf
 
-        pending = list(self._bound_ledger.items())
-        # Best-bound-first; the stable sort keeps equal bounds in
-        # pruning order, so the settle order is deterministic.  An
-        # unboundable candidate can never be excluded — settle it first.
-        pending.sort(
-            key=lambda item: (
-                -math.inf
-                if self._bound_perf(item[1]) is None
-                else self._bound_perf(item[1])
-            )
-        )
-        for key, mapping in pending:
+        # (bound, ledger index, full?, key, mapping); an unboundable
+        # candidate can never be excluded — it pops first, in ledger
+        # order.
+        heap = []
+        for index, (key, mapping) in enumerate(self._bound_ledger.items()):
+            quick = self._bound_perf(mapping, quick=True)
+            if quick is None:
+                heap.append((-math.inf, index, True, key, mapping))
+            else:
+                heap.append((quick, index, False, key, mapping))
+        heapq.heapify(heap)
+        limit = threshold()
+        while heap:
+            lb_perf, index, full, key, mapping = heapq.heappop(heap)
             if self.profiles.lookup(mapping) is not None:
                 continue
-            lb_perf = self._bound_perf(mapping)
-            if lb_perf is not None and lb_perf > threshold():
-                # Bounds are sorted ascending and the threshold only
-                # tightens: every remaining candidate is excluded too.
+            if lb_perf > limit:
+                # Every bound left is at least this one and the
+                # threshold only tightens: no candidate left can rank.
                 break
-            if self.feasibility is not None:
-                oom = self.feasibility.oom_reason(mapping)
-                if oom is not None:
-                    self.profiles.record(
-                        mapping, [], failed=True, reason=oom, static_oom=True
-                    )
-                    self._settled_keys.add(key)
-                    self._bound_settled.inc()
-                    settled += 1
-                    continue
-            try:
-                result = self.simulator.run(mapping)
-            except OOMError as exc:
-                self.profiles.record(
-                    mapping, [], failed=True, reason=str(exc)
+            if not full:
+                heapq.heappush(
+                    heap, (self._bound_perf(mapping), index, True, key, mapping)
                 )
-            else:
-                samples = self._measure(
-                    mapping, result.report, result.makespan, 0
-                )
-                self.profiles.record(
-                    mapping, samples, makespan=result.makespan
-                )
+                continue
+            self._settle(mapping)
             self._settled_keys.add(key)
             self._bound_settled.inc()
             settled += 1
+            limit = threshold()
         return settled
+
+    def _settle(self, mapping: Mapping) -> None:
+        """Record ``mapping``'s profile as :meth:`_evaluate` would have,
+        without touching the search accounting."""
+        if self.feasibility is not None:
+            oom = self.feasibility.oom_reason(mapping)
+            if oom is not None:
+                self.profiles.record(
+                    mapping, [], failed=True, reason=oom, static_oom=True
+                )
+                return
+        try:
+            result = self.simulator.run(mapping)
+        except OOMError as exc:
+            self.profiles.record(mapping, [], failed=True, reason=str(exc))
+        else:
+            samples = self._measure(mapping, result.report, result.makespan, 0)
+            self.profiles.record(mapping, samples, makespan=result.makespan)
 
     # ------------------------------------------------------------------
     def kind_runtimes(self, mapping: Mapping) -> Dict[str, float]:

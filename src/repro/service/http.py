@@ -303,8 +303,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        # Headers and body leave in one socket write.  Sent apart, the
+        # small header segment holds the body back (Nagle) until the
+        # client acknowledges it, which a keep-alive client may delay.
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(data)
+        self.flush_headers()
 
     def _send_json(self, status: int, doc) -> None:
         data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()

@@ -11,11 +11,14 @@ from repro.analysis.bounds import (
     _FlowMap,
 )
 from repro.apps import make_app
-from repro.machine import shepard
+from repro.machine import lassen, shepard
 from repro.machine.kinds import ProcKind
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
 from repro.runtime.simulator import SimConfig, Simulator
+from repro.taskgraph import ArgSlot, GraphBuilder, Privilege, ShardPattern
+from repro.util.rng import RngStream
+from tests.test_incremental import APP_INPUTS, _chain
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +176,83 @@ class TestFloatSafety:
     def test_deflation_is_tiny_but_strict(self):
         assert 0.0 < FLOAT_SAFETY < 1.0
         assert 1.0 - FLOAT_SAFETY < 1e-8
+
+
+def _exact(bd: BoundBreakdown) -> tuple:
+    """Every field of a breakdown, floats as exact hex strings."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (
+            bd.critical_path,
+            bd.load,
+            bd.communication,
+            bd.comm_memory,
+            bd.comm_edge,
+            bd.comm_edge_bytes,
+            bd.communication_incident,
+            bd.comm_channel,
+            bd.comm_channel_share,
+            bd.schedule,
+        )
+    )
+
+
+class TestWarmColdIdentity:
+    """One analyzer walked along a search chain (prefix snapshots,
+    replay ops shared across launches of one signature) must price every
+    mapping exactly like a fresh analyzer that has seen nothing else."""
+
+    @pytest.mark.parametrize("app_name", sorted(APP_INPUTS))
+    @pytest.mark.parametrize(
+        "machine_factory, nodes", [(shepard, 2), (lassen, 1)]
+    )
+    def test_chain_breakdowns_match_fresh(
+        self, app_name, machine_factory, nodes
+    ):
+        machine = machine_factory(nodes)
+        graph = make_app(app_name, **APP_INPUTS[app_name]).graph(machine)
+        space = SearchSpace(graph, machine)
+        warm = StaticBoundAnalyzer(graph, machine)
+        rng = RngStream(7).fork(app_name, machine.name)
+        for mapping in _chain(space, rng, length=20):
+            bd = warm.breakdown(mapping)
+            fresh = StaticBoundAnalyzer(graph, machine).breakdown(mapping)
+            assert _exact(bd) == _exact(fresh), mapping.key()
+            # The quick bound is the first tier of the prune check: it
+            # may never exceed the full bound, as floats.
+            assert warm.quick_bound(mapping) <= bd.total
+
+    def test_shared_ops_match_per_launch_ops(self):
+        """Replay ops are shared by launches with one signature; a kind
+        relaunched over swapped buffers and at another size must still
+        price exactly like an analyzer that keeps ops per launch."""
+        b = GraphBuilder("pingpong")
+        front = b.collection("front", nbytes=1 << 20)
+        back = b.collection("back", nbytes=1 << 20)
+        step = b.task_kind(
+            "step",
+            slots=[
+                ArgSlot(
+                    "src",
+                    Privilege.READ,
+                    ShardPattern.BLOCK_HALO,
+                    halo_bytes=1 << 12,
+                ),
+                ArgSlot("dst", Privilege.WRITE),
+            ],
+        )
+        for i in range(3):
+            b.launch(step, [front, back], size=4, flops=1e8)
+            b.launch(step, [back, front], size=8 if i else 4, flops=1e8)
+        graph = b.build()
+        machine = shepard(2)
+        space = SearchSpace(graph, machine)
+        shared = StaticBoundAnalyzer(graph, machine)
+        assert len(set(shared._signature.values())) == 3
+        rng = RngStream(5).fork("pingpong")
+        for mapping in _chain(space, rng, length=12):
+            per_launch = StaticBoundAnalyzer(graph, machine)
+            per_launch._signature = {uid: uid for uid in shared._signature}
+            assert _exact(shared.breakdown(mapping)) == _exact(
+                per_launch.breakdown(mapping)
+            ), mapping.key()

@@ -3,7 +3,9 @@ fetch artifacts, and hit the cache on resubmission."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -180,3 +182,48 @@ class TestErrorPaths:
     def test_unknown_endpoint_is_404(self, service_url):
         status, doc = _get(f"{service_url}/nope")
         assert status == 404
+
+
+class TestWire:
+    def test_each_response_is_one_socket_write(
+        self, service_url, monkeypatch
+    ):
+        """On a keep-alive connection every response (headers and body)
+        leaves the server in exactly one socket write."""
+        host, port = service_url.rsplit("/", 1)[1].split(":")
+        port = int(port)
+        writes = []
+
+        def counting(real):
+            def write(sock, data, *args):
+                if sock.getsockname()[1] == port:  # the server's side
+                    writes.append(len(data))
+                return real(sock, data, *args)
+
+            return write
+
+        monkeypatch.setattr(
+            socket.socket, "send", counting(socket.socket.send)
+        )
+        monkeypatch.setattr(
+            socket.socket, "sendall", counting(socket.socket.sendall)
+        )
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for method, path, body, status in [
+                ("GET", "/healthz", None, 200),
+                ("GET", "/metrics", None, 200),
+                ("POST", "/jobs", b"{not json", 400),
+                ("GET", "/jobs", None, 200),
+                ("GET", "/nope", None, 404),
+            ]:
+                before = len(writes)
+                conn.request(method, path, body=body)
+                reply = conn.getresponse()
+                data = reply.read()
+                assert reply.status == status, path
+                assert len(data) == int(reply.getheader("Content-Length"))
+                assert not reply.will_close, path
+                assert len(writes) - before == 1, (path, writes[before:])
+        finally:
+            conn.close()
