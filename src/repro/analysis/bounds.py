@@ -394,27 +394,15 @@ class StaticBoundAnalyzer:
             if total > 0:
                 self._channel_bw[mem.uid] = DMA_EFFICIENCY * total
 
-        # Caches (all keyed on deterministic values).
+        # Caches (all keyed on deterministic values; per-launch work on
+        # ``launch.signature``, so relaunches of one shape share entries).
         self._node_count_cache: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
         self._duration_cache: Dict[Tuple, float] = {}
-        self._best_duration_cache: Dict[str, Tuple[float, int]] = {}
+        self._best_duration_cache: Dict[Tuple, Tuple[float, int]] = {}
         self._interval_cache: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
         self._breakdown_cache: Dict[Tuple, BoundBreakdown] = {}
         self._quick_cache: Dict[Tuple, float] = {}
         self._replay_ops_cache: Dict[Tuple, Optional[Tuple]] = {}
-        #: Launch uid -> the launch's replay signature.  Placement and
-        #: the replay ops depend on a launch only through its kind,
-        #: size, work and argument byte ranges, so iterations that
-        #: relaunch the same shape share one ops entry per decision.
-        self._signature: Dict[str, Tuple] = {
-            launch.uid: (
-                launch.kind.name,
-                launch.size,
-                launch.flops,
-                tuple((arg.root, arg.interval) for arg in launch.args),
-            )
-            for launch in self._order
-        }
 
         # Incremental flow-walk state: along a search chain consecutive
         # bound requests differ in few kinds, so the walk replays the
@@ -479,7 +467,7 @@ class StaticBoundAnalyzer:
         Returns ``None`` when a slot's memory kind is unreachable from
         ``pk`` on this machine (an invalid option).
         """
-        key = (launch.uid, pk, mem_kinds)
+        key = (launch.signature, pk, mem_kinds)
         cached = self._duration_cache.get(key)
         if cached is not None:
             return cached
@@ -512,7 +500,7 @@ class StaticBoundAnalyzer:
         The two minima are taken independently (a sound under-estimate
         even if no single decision achieves both).
         """
-        cached = self._best_duration_cache.get(launch.uid)
+        cached = self._best_duration_cache.get(launch.signature)
         if cached is not None:
             return cached
         best_d: Optional[float] = None
@@ -564,7 +552,7 @@ class StaticBoundAnalyzer:
                 if best_m is None or factor < best_m:
                     best_m = factor
         result = (best_d or 0.0, best_m or 0)
-        self._best_duration_cache[launch.uid] = result
+        self._best_duration_cache[launch.signature] = result
         return result
 
     def _placements(
@@ -580,7 +568,7 @@ class StaticBoundAnalyzer:
     def _shard_intervals(
         self, launch: TaskLaunch, slot_index: int, for_write: bool
     ) -> Tuple[Tuple[int, int], ...]:
-        key = (launch.uid, slot_index, for_write)
+        key = (launch.signature, slot_index, for_write)
         cached = self._interval_cache.get(key)
         if cached is None:
             cached = tuple(
@@ -671,7 +659,7 @@ class StaticBoundAnalyzer:
         provably cannot change the flow state).  ``None`` marks an
         invalid decision (no placement, no flow, no schedule).
         """
-        key = (self._signature[launch.uid], decision.key())
+        key = (launch.signature, decision.key())
         if key in self._replay_ops_cache:
             return self._replay_ops_cache[key]
         ops: Optional[Tuple]

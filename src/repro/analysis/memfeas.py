@@ -76,13 +76,16 @@ class StaticMemoryFeasibility:
                 self._procs_by_kind_node[(kind, node)] = (
                     machine.processors_of_kind(kind, node)
                 )
-        self._launches_by_kind: Dict[str, List["TaskLaunch"]] = {}
+        #: Kind name -> one launch per distinct signature (launches with
+        #: one signature contribute identical intervals).
+        self._shapes_by_kind: Dict[str, Dict[tuple, "TaskLaunch"]] = {}
         for launch in graph.launches:
-            self._launches_by_kind.setdefault(launch.kind.name, []).append(launch)
+            shapes = self._shapes_by_kind.setdefault(launch.kind.name, {})
+            shapes.setdefault(launch.signature, launch)
 
         self._closest_cache: Dict[Tuple[str, MemKind], "Memory"] = {}
         self._point_proc_cache: Dict[
-            Tuple[str, bool, ProcKind], Tuple["Processor", ...]
+            Tuple[int, bool, ProcKind], Tuple["Processor", ...]
         ] = {}
         self._contrib_cache: Dict[
             Tuple[str, bool, ProcKind, int, MemKind], _Contribution
@@ -114,8 +117,9 @@ class StaticMemoryFeasibility:
         self, launch: "TaskLaunch", distribute: bool, proc_kind: ProcKind
     ) -> Tuple["Processor", ...]:
         """Processor executing each point of ``launch``, mirroring
-        :meth:`Placer.place_launch`'s blocked split + round-robin."""
-        key = (launch.uid, distribute, proc_kind)
+        :meth:`Placer.place_launch`'s blocked split + round-robin (a
+        function of the launch's size alone)."""
+        key = (launch.size, distribute, proc_kind)
         cached = self._point_proc_cache.get(key)
         if cached is not None:
             return cached
@@ -152,8 +156,8 @@ class StaticMemoryFeasibility:
         cached = self._contrib_cache.get(key)
         if cached is not None:
             return cached
-        out: _Contribution = {}
-        for launch in self._launches_by_kind.get(kind_name, ()):
+        pieces: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
+        for launch in self._shapes_by_kind.get(kind_name, {}).values():
             procs = self._point_procs(launch, distribute, proc_kind)
             root = launch.args[slot_index].root
             assert root is not None
@@ -164,8 +168,10 @@ class StaticMemoryFeasibility:
                 if hi <= lo:
                     continue
                 mem_uid = self._closest(proc, mem_kind).uid
-                current = out.get((mem_uid, root), IntervalSet.empty())
-                out[(mem_uid, root)] = current.union(IntervalSet.single(lo, hi))
+                pieces.setdefault((mem_uid, root), []).append((lo, hi))
+        out: _Contribution = {
+            slot_key: IntervalSet(spans) for slot_key, spans in pieces.items()
+        }
         self._contrib_cache[key] = out
         return out
 

@@ -13,6 +13,8 @@ for memories, and bandwidth/latency for access links and channels.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -29,6 +31,32 @@ __all__ = ["Processor", "Memory", "AccessLink", "Channel", "Machine"]
 #: balances latency- and bandwidth-dominated regimes so routes prefer
 #: the fast direct links the hardware actually uses.
 ROUTING_MESSAGE_BYTES = 16 * 1024 * 1024
+
+#: How many routing graphs keep a process-wide route table; resolving
+#: one more drops the least recently resolved.  A machine keeps the
+#: table it resolved, so a drop only costs later machines the reuse.
+ROUTE_TABLE_LIMIT = 8
+
+#: ``(src, dst)`` -> the route's channel indexes, or ``None``.
+_RouteTable = Dict[Tuple[str, str], Optional[Tuple[int, ...]]]
+
+#: Routing graph ``(memory uids, channels in declaration order)`` -> its
+#: route table, least recently resolved first.
+_ROUTE_TABLES: "OrderedDict[tuple, _RouteTable]" = OrderedDict()
+_ROUTE_TABLES_LOCK = threading.Lock()
+
+
+def _shared_route_table(graph_key: tuple) -> _RouteTable:
+    """The route table every machine with this routing graph shares."""
+    with _ROUTE_TABLES_LOCK:
+        table = _ROUTE_TABLES.get(graph_key)
+        if table is None:
+            table = _ROUTE_TABLES[graph_key] = {}
+            if len(_ROUTE_TABLES) > ROUTE_TABLE_LIMIT:
+                _ROUTE_TABLES.popitem(last=False)
+        else:
+            _ROUTE_TABLES.move_to_end(graph_key)
+        return table
 
 
 @dataclass(frozen=True)
@@ -170,7 +198,9 @@ class Machine:
 
     The class offers the kind- and locality-queries that both the search
     (kind level) and the runtime simulator (concrete level) need, plus
-    the memoised channel route of every copy (:meth:`route`).
+    the memoised channel route of every copy (:meth:`route`).  Routes
+    are computed once per routing graph and process: machines with equal
+    memory uids and equal channels in equal order share one table.
     """
 
     name: str
@@ -207,12 +237,12 @@ class Machine:
             self._access[(link.proc, link.mem)] = link
 
         self._channels: Dict[Tuple[str, str], Channel] = {}
-        #: mem uid -> ``(neighbour, routing weight, channel)`` in channel
-        #: declaration order; the tie-break order of :meth:`route`.
-        self._adjacency: Dict[str, List[Tuple[str, float, Channel]]] = {
+        #: mem uid -> ``(neighbour, routing weight, channel index)`` in
+        #: channel declaration order; the tie-break order of :meth:`route`.
+        self._adjacency: Dict[str, List[Tuple[str, float, int]]] = {
             uid: [] for uid in self._mems_by_uid
         }
-        for chan in self.channels:
+        for index, chan in enumerate(self.channels):
             for end in chan.endpoints():
                 if end not in self._mems_by_uid:
                     raise ValueError(f"channel references unknown memory {end!r}")
@@ -221,9 +251,12 @@ class Machine:
                 raise ValueError(f"duplicate channel {key}")
             self._channels[key] = chan
             weight = chan.latency + ROUTING_MESSAGE_BYTES / chan.bandwidth
-            self._adjacency[chan.mem_a].append((chan.mem_b, weight, chan))
-            self._adjacency[chan.mem_b].append((chan.mem_a, weight, chan))
+            self._adjacency[chan.mem_a].append((chan.mem_b, weight, index))
+            self._adjacency[chan.mem_b].append((chan.mem_a, weight, index))
         self._routes: Dict[Tuple[str, str], Optional[Tuple[Channel, ...]]] = {}
+        #: The routing graph: everything :meth:`_shortest_route` reads.
+        self._graph_key = (tuple(self._mems_by_uid), tuple(self.channels))
+        self._route_table: Optional[_RouteTable] = None
 
         self._nodes = sorted(
             {p.node for p in self.processors} | {m.node for m in self.memories}
@@ -338,16 +371,34 @@ class Machine:
         """The channels a copy from ``src`` to ``dst`` crosses, source
         side first: ``()`` when ``src == dst``, ``None`` when no channel
         path exists.  Memoised per ordered pair; raises ``KeyError`` for
-        an unknown memory."""
+        an unknown memory.
+
+        The search runs once per pair and routing graph: the shared
+        table holds channel indexes, and the hops returned are this
+        machine's own :class:`Channel` objects."""
         pair = (src, dst)
         if pair not in self._routes:
-            self._routes[pair] = self._shortest_route(src, dst)
+            table = self._route_table
+            if table is None:
+                table = self._route_table = _shared_route_table(
+                    self._graph_key
+                )
+            if pair not in table:
+                table[pair] = self._shortest_route(src, dst)
+            indexes = table[pair]
+            channels = self._graph_key[1]
+            self._routes[pair] = (
+                None
+                if indexes is None
+                else tuple(channels[i] for i in indexes)
+            )
         return self._routes[pair]
 
     def _shortest_route(
         self, src: str, dst: str
-    ) -> Optional[Tuple[Channel, ...]]:
-        """Bidirectional Dijkstra over the routing weights.
+    ) -> Optional[Tuple[int, ...]]:
+        """Bidirectional Dijkstra over the routing weights; returns the
+        route as channel indexes.
 
         The tie-break rule is part of the contract (DESIGN.md): the
         search alternates directions starting forward, pops the heap
@@ -364,8 +415,8 @@ class Machine:
         seen: Tuple[Dict[str, float], ...] = ({src: 0.0}, {dst: 0.0})
         done: Tuple[set, ...] = (set(), set())
         # memory -> (the memory one hop closer to the search's origin,
-        # the channel between them).
-        pred: Tuple[Dict[str, Tuple[str, Channel]], ...] = ({}, {})
+        # the index of the channel between them).
+        pred: Tuple[Dict[str, Tuple[str, int]], ...] = ({}, {})
         best: Optional[float] = None
         meet = src
         side = 1
@@ -376,25 +427,25 @@ class Machine:
                 continue
             done[side].add(mem)
             if mem in done[1 - side]:
-                hops: List[Channel] = []
+                hops: List[int] = []
                 node = meet
                 while node in pred[0]:
-                    node, chan = pred[0][node]
-                    hops.append(chan)
+                    node, index = pred[0][node]
+                    hops.append(index)
                 hops.reverse()
                 node = meet
                 while node in pred[1]:
-                    node, chan = pred[1][node]
-                    hops.append(chan)
+                    node, index = pred[1][node]
+                    hops.append(index)
                 return tuple(hops)
-            for nbr, weight, chan in adjacency[mem]:
+            for nbr, weight, index in adjacency[mem]:
                 total = dist + weight
                 known = seen[side].get(nbr)
                 if nbr in done[side] or (known is not None and total >= known):
                     continue
                 seen[side][nbr] = total
                 heappush(fringe[side], (total, next(tick), nbr))
-                pred[side][nbr] = (mem, chan)
+                pred[side][nbr] = (mem, index)
                 if nbr in seen[1 - side]:
                     joined = total + seen[1 - side][nbr]
                     if best is None or joined < best:

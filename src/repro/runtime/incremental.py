@@ -7,9 +7,11 @@ that in two layered ways:
 1. **Per-launch cost memoisation** (:class:`LaunchCostCache`): for a
    given ``(launch, decision)`` pair, the placement set, per-point
    durations, read shards, and write shards are pure functions of the
-   decision — independent of simulation state.  They are computed once,
-   with the executor's exact float operation order, and every later
-   execution of that launch under that decision is a dict hit.
+   launch's signature and the decision — independent of simulation
+   state.  They are computed once, with the executor's exact float
+   operation order, and every later execution of that launch (or of
+   another launch with its signature) under that decision is a dict
+   hit.
 
 2. **Schedule prefix replay** (:class:`IncrementalEngine`): the engine
    keeps state snapshots of the previously simulated mapping at every
@@ -137,7 +139,8 @@ class _PointCost:
 
 
 class LaunchCostCache:
-    """Memoised placement-derived costs per ``(launch, decision)``.
+    """Memoised placement-derived costs per ``(launch.signature,
+    decision)``.
 
     The cached duration is computed with the executor's exact float
     operation sequence (per-slot ``+=`` accumulation of access seconds,
@@ -155,14 +158,14 @@ class LaunchCostCache:
         self.stats = stats if stats is not None else IncrementalStats()
         self._costs: Dict[tuple, Tuple[_PointCost, ...]] = {}
         #: Shard intervals are decision-independent, so they are shared
-        #: across every decision of a launch: (uid, slot, for_write) ->
-        #: per-point (lo, hi).
+        #: across every decision of a launch: (signature, slot,
+        #: for_write) -> per-point (lo, hi).
         self._intervals: Dict[tuple, Tuple[Tuple[int, int], ...]] = {}
 
     def _shard_intervals(
         self, launch, slot_index: int, for_write: bool
     ) -> Tuple[Tuple[int, int], ...]:
-        key = (launch.uid, slot_index, for_write)
+        key = (launch.signature, slot_index, for_write)
         cached = self._intervals.get(key)
         if cached is None:
             cached = tuple(
@@ -173,7 +176,7 @@ class LaunchCostCache:
         return cached
 
     def costs(self, launch, decision: MappingDecision) -> Tuple[_PointCost, ...]:
-        key = (launch.uid, decision.key())
+        key = (launch.signature, decision.key())
         cached = self._costs.get(key)
         if cached is not None:
             self.stats.cost_hits += 1

@@ -113,8 +113,9 @@ class MemoryPlanner:
     """Static capacity analysis of a mapping on a machine.
 
     With ``memoize=True`` the per-launch shard lists — pure functions of
-    ``(launch, decision)`` — are cached, so repeated capacity walks over
-    a search chain skip the placement and interval arithmetic.  The walk
+    ``(launch.signature, decision)`` — are cached, so repeated capacity
+    walks over a search chain skip the placement and interval
+    arithmetic, and relaunches of one shape share one entry.  The walk
     itself (accumulator operations, demotion order, error messages) is
     unchanged, so memoised and unmemoised planners produce identical
     results byte-for-byte.
@@ -145,11 +146,11 @@ class MemoryPlanner:
             self._contrib_cache = {}
             self._union_cache = {}
         #: Decision-independent per-point read shard intervals,
-        #: (launch.uid, slot) -> ((lo, hi), ...).
+        #: (launch.signature, slot) -> ((lo, hi), ...).
         self._interval_cache: Dict[tuple, tuple] = {}
 
     def _read_intervals(self, launch, slot_index: int) -> tuple:
-        key = (launch.uid, slot_index)
+        key = (launch.signature, slot_index)
         cached = self._interval_cache.get(key)
         if cached is None:
             cached = tuple(
@@ -164,7 +165,7 @@ class MemoryPlanner:
         one launch in the program walk's encounter order (placement
         outer, slot inner)."""
         if self._shard_cache is not None:
-            key = (launch.uid, decision.key())
+            key = (launch.signature, decision.key())
             cached = self._shard_cache.get(key)
             if cached is not None:
                 return cached
@@ -183,20 +184,26 @@ class MemoryPlanner:
                     entries.append((slot_index, mem.uid, root, lo, hi))
         shards = tuple(entries)
         if self._shard_cache is not None:
-            self._shard_cache[(launch.uid, decision.key())] = shards
+            self._shard_cache[(launch.signature, decision.key())] = shards
         return shards
 
     # ------------------------------------------------------------------
     def _kind_contrib(self, kind_name: str, decision) -> dict:
         """Merged ``{(mem_uid, root): disjoint (lo, hi) intervals}``
         footprint contribution of every launch of ``kind_name`` under
-        ``decision`` — a pure function of the pair, so it is cached."""
+        ``decision`` — a pure function of the pair, so it is cached.
+        Launches with one signature add the same shards, so each
+        signature is walked once."""
         key = (kind_name, decision.key())
         cached = self._contrib_cache.get(key)
         if cached is not None:
             return cached
         buckets: Dict[Tuple[str, str], list] = {}
-        for launch in self.graph.launches_of_kind(kind_name):
+        shapes = {
+            launch.signature: launch
+            for launch in self.graph.launches_of_kind(kind_name)
+        }
+        for launch in shapes.values():
             for _slot, mem_uid, root, lo, hi in self._shards(launch, decision):
                 buckets.setdefault((mem_uid, root), []).append((lo, hi))
         contrib = {

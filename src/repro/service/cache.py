@@ -172,13 +172,17 @@ class ResultCache:
     # ------------------------------------------------------------------
     def _mark_class(self, class_key: str, fingerprint: str) -> None:
         marker_dir = self.classes_dir / class_key
-        marker_dir.mkdir(parents=True, exist_ok=True)
         marker = marker_dir / fingerprint
-        if not marker.exists():
+        # A concurrent ``_unmark_class`` of the class's last other entry
+        # may remove the directory between the mkdir and the write; the
+        # write then fails and the pair is retried until the marker
+        # exists, or the entry would never be a proof candidate again.
+        while not marker.exists():
+            marker_dir.mkdir(parents=True, exist_ok=True)
             try:
                 marker.write_text("")
-            except OSError:  # pragma: no cover - concurrent purge
-                pass
+            except FileNotFoundError:
+                continue
 
     def _unmark_class(self, class_key: str, fingerprint: str) -> None:
         marker_dir = self.classes_dir / class_key

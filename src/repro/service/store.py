@@ -122,6 +122,12 @@ class JobStore:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._next_id = self._scan_next_id()
+        #: Every job numbered below this is known not to be
+        #: ``submitted``: only :meth:`create` (always a fresh, higher
+        #: number) and :meth:`recover_running` (which resets the floor)
+        #: produce ``submitted`` jobs, so the idle claim poll reads no
+        #: job file below it.
+        self._claim_floor = 1
 
     # ------------------------------------------------------------------
     def _scan_next_id(self) -> int:
@@ -202,24 +208,25 @@ class JobStore:
     # ------------------------------------------------------------------
     def claim_next(self) -> Optional[JobRecord]:
         """Atomically claim the oldest ``submitted`` job (FIFO by job
-        number) and mark it ``running``."""
+        number) and mark it ``running``.
+
+        Reads job files from the claim floor up only, and raises the
+        floor past every job it reads that is not ``submitted``."""
         with self._lock:
-            for job_id in sorted(
-                entry.name
-                for entry in self.jobs_dir.iterdir()
-                if entry.is_dir()
-            ):
+            while self._claim_floor < self._next_id:
+                job_id = f"job-{self._claim_floor:06d}"
                 path = self.job_dir(job_id) / JOB_FILENAME
-                if not path.exists():
-                    continue
-                record = JobRecord.from_doc(load_json(path))
-                if record.state is JobState.SUBMITTED:
-                    claimed = record.with_(
-                        state=JobState.RUNNING,
-                        attempts=record.attempts + 1,
-                    )
-                    self._write(claimed)
-                    return claimed
+                if path.exists():
+                    record = JobRecord.from_doc(load_json(path))
+                    if record.state is JobState.SUBMITTED:
+                        claimed = record.with_(
+                            state=JobState.RUNNING,
+                            attempts=record.attempts + 1,
+                        )
+                        self._write(claimed)
+                        self._claim_floor += 1
+                        return claimed
+                self._claim_floor += 1
         return None
 
     def recover_running(self) -> List[JobRecord]:
@@ -242,6 +249,7 @@ class JobStore:
                     requeued = record.with_(state=JobState.SUBMITTED)
                     self._write(requeued)
                     recovered.append(requeued)
+            self._claim_floor = 1
         return recovered
 
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Tuple
 
 from repro.machine.kinds import ProcKind
@@ -206,6 +207,24 @@ class TaskLaunch:
             raise ValueError(f"launch {self.uid}: group size must be >= 1")
         if self.flops < 0:
             raise ValueError(f"launch {self.uid}: flops must be >= 0")
+
+    @cached_property
+    def signature(self) -> Tuple:
+        """The launch's content key, ``(kind name, size, flops, ((root,
+        interval) per arg))``.
+
+        Within one graph (kind names are unique) placement, shard
+        intervals, durations and footprints depend on a launch only
+        through its signature, so per-launch caches key by it and an
+        iteration that relaunches a kind over the same data shares one
+        entry with every earlier relaunch.
+        """
+        return (
+            self.kind.name,
+            self.size,
+            self.flops,
+            tuple((arg.root, arg.interval) for arg in self.args),
+        )
 
     def slot_arg(self, slot_name: str) -> Collection:
         """The collection bound to the named slot."""

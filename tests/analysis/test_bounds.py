@@ -16,8 +16,8 @@ from repro.machine.kinds import ProcKind
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import SearchSpace
 from repro.runtime.simulator import SimConfig, Simulator
-from repro.taskgraph import ArgSlot, GraphBuilder, Privilege, ShardPattern
 from repro.util.rng import RngStream
+from tests.conftest import build_pingpong_graph, per_launch_signatures
 from tests.test_incremental import APP_INPUTS, _chain
 
 
@@ -226,33 +226,17 @@ class TestWarmColdIdentity:
         """Replay ops are shared by launches with one signature; a kind
         relaunched over swapped buffers and at another size must still
         price exactly like an analyzer that keeps ops per launch."""
-        b = GraphBuilder("pingpong")
-        front = b.collection("front", nbytes=1 << 20)
-        back = b.collection("back", nbytes=1 << 20)
-        step = b.task_kind(
-            "step",
-            slots=[
-                ArgSlot(
-                    "src",
-                    Privilege.READ,
-                    ShardPattern.BLOCK_HALO,
-                    halo_bytes=1 << 12,
-                ),
-                ArgSlot("dst", Privilege.WRITE),
-            ],
-        )
-        for i in range(3):
-            b.launch(step, [front, back], size=4, flops=1e8)
-            b.launch(step, [back, front], size=8 if i else 4, flops=1e8)
-        graph = b.build()
+        graph = build_pingpong_graph()
         machine = shepard(2)
         space = SearchSpace(graph, machine)
         shared = StaticBoundAnalyzer(graph, machine)
-        assert len(set(shared._signature.values())) == 3
+        assert len({launch.signature for launch in graph.launches}) == 3
         rng = RngStream(5).fork("pingpong")
         for mapping in _chain(space, rng, length=12):
-            per_launch = StaticBoundAnalyzer(graph, machine)
-            per_launch._signature = {uid: uid for uid in shared._signature}
-            assert _exact(shared.breakdown(mapping)) == _exact(
-                per_launch.breakdown(mapping)
-            ), mapping.key()
+            with per_launch_signatures():
+                per_launch = _exact(
+                    StaticBoundAnalyzer(graph, machine).breakdown(mapping)
+                )
+            assert _exact(shared.breakdown(mapping)) == per_launch, (
+                mapping.key()
+            )

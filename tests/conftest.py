@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.machine import Machine, lassen, shepard, single_node
 from repro.mapping import SearchSpace
 from repro.runtime import SimConfig, Simulator
 from repro.taskgraph import ArgSlot, GraphBuilder, Privilege, ShardPattern
+from repro.taskgraph.task import TaskLaunch
 from repro.util.rng import RngStream
 
 
@@ -85,6 +88,43 @@ def build_diamond_graph(iterations: int = 2, nbytes: int = 1 << 24):
         b.launch(right, [grid, right_out], size=4, flops=4e8)
         b.launch(sink, [left_out, right_out, acc], size=1, flops=1e7)
     return b.build()
+
+
+def build_pingpong_graph():
+    """One kind relaunched over swapped buffers and at two sizes: six
+    launches, three distinct signatures."""
+    b = GraphBuilder("pingpong")
+    front = b.collection("front", nbytes=1 << 20)
+    back = b.collection("back", nbytes=1 << 20)
+    step = b.task_kind(
+        "step",
+        slots=[
+            ArgSlot(
+                "src",
+                Privilege.READ,
+                ShardPattern.BLOCK_HALO,
+                halo_bytes=1 << 12,
+            ),
+            ArgSlot("dst", Privilege.WRITE),
+        ],
+    )
+    for i in range(3):
+        b.launch(step, [front, back], size=4, flops=1e8)
+        b.launch(step, [back, front], size=8 if i else 4, flops=1e8)
+    return b.build()
+
+
+@contextmanager
+def per_launch_signatures():
+    """While active, ``TaskLaunch.signature`` is the launch uid, so every
+    signature-keyed cache keeps one entry per launch: the reference that
+    entries shared across launches must match."""
+    shared = TaskLaunch.__dict__["signature"]
+    TaskLaunch.signature = property(lambda launch: launch.uid)
+    try:
+        yield
+    finally:
+        TaskLaunch.signature = shared
 
 
 @pytest.fixture

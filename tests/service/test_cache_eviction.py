@@ -133,6 +133,31 @@ class TestClassIndex:
         assert cache.candidates("ck") == [_fp(0)]
 
 
+    def test_mark_survives_unmark_between_mkdir_and_write(
+        self, tmp_path, monkeypatch
+    ):
+        """An unmark that removes the class directory after a mark's
+        mkdir but before its marker write must not lose the marker."""
+        cache = ResultCache(tmp_path)
+        cache.put(_fp(0), {"result.json": RESULT}, class_key="ck")
+        real_write = type(tmp_path).write_text
+        raced = []
+
+        def racing_write(path, *args, **kwargs):
+            if path.name == _fp(1) and not raced:
+                raced.append(path)
+                # The class's only other entry goes away: its unmark
+                # empties and removes the directory just made.
+                cache.evict(_fp(0))
+                assert not path.parent.exists()
+            return real_write(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "write_text", racing_write)
+        cache.put(_fp(1), {"result.json": RESULT}, class_key="ck")
+        assert raced
+        assert cache.candidates("ck") == [_fp(1)]
+
+
 class TestConcurrentEviction:
     def test_readers_race_eviction_safely(self, tmp_path):
         """A reader concurrent with evict() sees the full bytes or a

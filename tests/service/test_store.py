@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import repro.service.store as store_module
 from repro.service.store import JOB_FILENAME, JobRecord, JobState, JobStore
 
 SPEC = {"app": "stencil"}
@@ -62,6 +63,44 @@ class TestClaiming:
 
     def test_claim_empty_returns_none(self, tmp_path):
         assert JobStore(tmp_path).claim_next() is None
+
+    def test_idle_claims_read_no_settled_job_files(self, tmp_path, monkeypatch):
+        """Past the first poll, a claim reads only jobs created since:
+        the idle poll costs O(1) file reads however many jobs are done."""
+        store = JobStore(tmp_path)
+        for i in range(40):
+            store.create(SPEC, f"done{i}", state=JobState.DONE)
+        reads = []
+        real_load = store_module.load_json
+
+        def spy(path):
+            reads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(store_module, "load_json", spy)
+        assert store.claim_next() is None
+        assert len(reads) == 40
+        reads.clear()
+        assert store.claim_next() is None
+        assert reads == []
+        queued = store.create(SPEC, "b")
+        assert store.claim_next().job_id == queued.job_id
+        assert len(reads) == 1
+        reads.clear()
+        assert store.claim_next() is None
+        assert reads == []
+
+    def test_recovery_lowers_the_claim_floor(self, tmp_path):
+        store = JobStore(tmp_path)
+        first = store.create(SPEC, "a")
+        second = store.create(SPEC, "b")
+        assert store.claim_next().job_id == first.job_id
+        assert store.claim_next().job_id == second.job_id
+        assert store.claim_next() is None
+        recovered = store.recover_running()
+        assert [r.job_id for r in recovered] == [first.job_id, second.job_id]
+        assert store.claim_next().job_id == first.job_id
+        assert store.claim_next().job_id == second.job_id
 
 
 class TestRecovery:
